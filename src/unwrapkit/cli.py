@@ -265,6 +265,8 @@ def _cmd_threshold(args, config):
 
 
 def _cmd_bench(args, config):
+    if args.n_obs < 1:
+        raise ConfigError(f"--n-obs must be >= 1, got {args.n_obs}")
     plan = _plan_for(args, config)
     methods_text = _pick(args.methods, config, "methods", str, default="concerto,bw,ef")
     methods = [m.strip() for m in methods_text.split(",") if m.strip()]

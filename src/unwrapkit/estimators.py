@@ -1,4 +1,4 @@
-"""Range estimators operating on a single multi-frequency phase observation.
+"""Range estimators on multi-frequency phase observations.
 
 Three estimators are provided and registered by name:
 
@@ -17,6 +17,11 @@ weight matrix has a closed-form entry formula and the final fit is a scalar
 quotient. Per-plan constants are cached, so repeated estimates on one plan
 only pay for the per-observation arithmetic. All entry points are pure
 functions and safe for concurrent use.
+
+Each stage has one kernel that takes one observation's phases (N,) or a
+row block (B, N). The public estimators are the one-observation view; the
+Monte-Carlo harness runs ``concerto`` and ``bw`` on whole row blocks
+through :func:`block_kernel`.
 
 Rounding convention: round-half-away-from-zero, everywhere an integer is
 recovered from a noisy real value. Ties are measure-zero but deterministic.
@@ -50,17 +55,26 @@ from .errors import (
 _INV_TWO_PI = 1.0 / TWO_PI
 
 
-def _round_half_away(v: float) -> int:
-    if v >= 0.0:
-        return int(math.floor(v + 0.5))
-    return -int(math.floor(0.5 - v))
-
-
 def _round_half_away_arr(x: np.ndarray) -> np.ndarray:
     # trunc(x +/- 0.5) equals copysign(floor(|x| + 0.5), x) bit for bit
     r = np.copysign(0.5, x)
     r += x
     return np.trunc(r, out=r)
+
+
+def _round_half_away(x):
+    """Round half away from zero: an array for an array, a float otherwise."""
+    if isinstance(x, np.ndarray):
+        return _round_half_away_arr(x)
+    x = float(x)
+    # // 1.0 is an exact float floor
+    return (x + 0.5) // 1.0 if x >= 0.0 else -((0.5 - x) // 1.0)
+
+
+def _per_row(x):
+    """A per-observation value as a factor on (..., N) arrays: a (B,) array
+    becomes a (B, 1) column, a scalar stays as it is."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
 
 
 def _int_tuple(values) -> tuple:
@@ -218,23 +232,40 @@ def plan_constants(plan: FrequencyPlan) -> PlanConstants:
 
 
 def _chain(k: PlanConstants, phases: np.ndarray):
-    """Shared chain kernel.
+    """Shared chain kernel on one observation (N,) or a row block (B, N).
 
-    Returns the chain integers M_1..M_{N-1} as integer-valued floats and the
-    unwrapped beat phase at the finest beat wavelength, in turns; the coarse
-    range is that times ``k.beat_last``.
+    Returns the chain integers M_1..M_{N-1} as integer-valued floats (one
+    float, or one (B,) array, per stage) and the unwrapped beat phase at the
+    finest beat wavelength, in turns; the coarse range is that times
+    ``k.beat_last``. A block runs the same recurrence and rounding on one
+    (B,) vector per stage, so every row matches its one-observation result
+    bit for bit.
     """
     ratios = k.beat_ratios
-    bp = phases[0] - phases[1:]
-    wrap_inplace(bp)
+    if phases.ndim == 1:
+        # One observation: a Python-float loop, since (1, N) column
+        # arithmetic costs about 15x more.
+        bp = wrap_inplace(phases[0] - phases[1:])
+        bp *= _INV_TWO_PI
+        bp = bp.tolist()
+        m = 0.0
+        m_chain = [m]
+        for b, b_next, ratio in zip(bp, bp[1:], ratios):
+            v = (m + b) * ratio - b_next
+            # round half away from zero; // 1.0 is an exact float floor
+            m = (v + 0.5) // 1.0 if v >= 0.0 else -((0.5 - v) // 1.0)
+            m_chain.append(m)
+        return m_chain, m + bp[-1]
+    # A row block: one row of beat phases per stage.
+    bp = wrap_inplace((phases[:, :1] - phases[:, 1:]).T.copy())
     bp *= _INV_TWO_PI
-    bp = bp.tolist()
-    m_chain = [0.0]
-    m = 0.0
+    m = np.zeros(len(phases))
+    m_chain = [m]
     for b, b_next, ratio in zip(bp, bp[1:], ratios):
-        v = (m + b) * ratio - b_next
-        # round half away from zero; // 1.0 is an exact float floor
-        m = (v + 0.5) // 1.0 if v >= 0.0 else -((0.5 - v) // 1.0)
+        v = m + b
+        v *= ratio
+        v -= b_next
+        m = _round_half_away_arr(v)
         m_chain.append(m)
     return m_chain, m + bp[-1]
 
@@ -280,9 +311,10 @@ def build_residual_system(compensated_rad, plan: FrequencyPlan) -> ResidualSyste
     )
 
 
-def _residual(k: PlanConstants, dphi: np.ndarray) -> float:
-    """Residual-stage kernel on the wrapped adjacent differences ``dphi``."""
-    return (k.plan.c_m_s / TWO_PI) * float(k.w_delta_f.dot(dphi)) / k.residual_denom
+def _residual(k: PlanConstants, dphi: np.ndarray):
+    """Residual-stage kernel on the wrapped adjacent differences ``dphi``,
+    shape (..., N-1)."""
+    return (k.plan.c_m_s / TWO_PI) * dphi.dot(k.w_delta_f) / k.residual_denom
 
 
 def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
@@ -300,7 +332,7 @@ def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
     comp = np.asarray(compensated_rad, dtype=float)
     if comp.size != plan.n:
         raise InvalidArgumentError("compensated phase count does not match plan")
-    return _residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:]))
+    return float(_residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:])))
 
 
 def _alignment_cost(l_grid: np.ndarray, freqs: np.ndarray, comp: np.ndarray, c: float) -> np.ndarray:
@@ -362,14 +394,18 @@ def cost_grid_oracle(
     return (a + b_hi) / 2.0
 
 
-def _fold(k: PlanConstants, l_m: float, phase_turns: np.ndarray) -> np.ndarray:
-    """Fold-integer kernel: integer-valued floats round(l_m/lambda_i - phi_i/2pi)."""
-    return _round_half_away_arr(l_m * k.inv_lam - phase_turns)
+def _fold(k: PlanConstants, l_m, phase_turns: np.ndarray) -> np.ndarray:
+    """Fold-integer kernel: integer-valued floats round(l_m/lambda_i - phi_i/2pi)
+    for one range (phases (N,)) or one range per row (l_m (B,), phases (B, N))."""
+    x = _per_row(l_m) * k.inv_lam
+    x -= phase_turns
+    return _round_half_away_arr(x)
 
 
-def _fit(k: PlanConstants, fold: np.ndarray, phase_turns: np.ndarray) -> float:
-    """Final-fit kernel: the least-squares range for the integer branch ``fold``."""
-    return float(k.inv_lam.dot(fold + phase_turns)) / k.inv_sq_sum
+def _fit(k: PlanConstants, fold: np.ndarray, phase_turns: np.ndarray):
+    """Final-fit kernel: the least-squares range for the integer branch
+    ``fold``, per row of (..., N) arrays."""
+    return (fold + phase_turns).dot(k.inv_lam) / k.inv_sq_sum
 
 
 def fold_integers(obs: PhaseObservation, l_m: float) -> np.ndarray:
@@ -392,11 +428,23 @@ def ls_refine(obs: PhaseObservation, fold_ints) -> float:
     the quotient (sum_i m_f_i/lambda_i) / (sum_i lambda_i^-2).
     """
     fold = np.asarray(fold_ints, dtype=float)
-    return _fit(plan_constants(obs.plan), fold, obs.phases_rad * _INV_TWO_PI)
+    return float(_fit(plan_constants(obs.plan), fold, obs.phases_rad * _INV_TWO_PI))
 
 
 def _delta(l_final: float, obs: PhaseObservation):
     return None if obs.truth_m is None else l_final - obs.truth_m
+
+
+def _bw(k: PlanConstants, phases: np.ndarray):
+    """The classical chain and its final rounding at lambda_0, on one
+    observation (N,) or a row block (B, N).
+
+    Returns (l_coarse, l_final, m_chain).
+    """
+    m_chain, turns = _chain(k, phases)
+    phi0_turns = phases.T[0] * _INV_TWO_PI
+    m0 = _round_half_away(turns * (k.beat_last / k.lam0) - phi0_turns)
+    return turns * k.beat_last, (m0 + phi0_turns) * k.lam0, m_chain
 
 
 def bw_estimate(obs: PhaseObservation) -> EstimateTrace:
@@ -407,54 +455,56 @@ def bw_estimate(obs: PhaseObservation) -> EstimateTrace:
     """
     k = plan_constants(obs.plan)
     phases = obs.phases_rad
-    m_chain, turns = _chain(k, phases)
-    l_c = turns * k.beat_last
-    phi0_turns = float(phases[0]) * _INV_TWO_PI
-    m0 = _round_half_away(turns * (k.beat_last / k.lam0) - phi0_turns)
-    l_final = (m0 + phi0_turns) * k.lam0
-    fold = _fold(k, l_final, phases * _INV_TWO_PI)
+    l_c, l_final, m_chain = _bw(k, phases)
+    l_final = float(l_final)
     return EstimateTrace(
         method="bw",
         m_chain=m_chain,
         l_coarse_m=l_c,
         l_residual_m=0.0,
         l_mid_m=l_c + 0.0,
-        fold_ints=fold,
+        fold_ints=_fold(k, l_final, phases * _INV_TWO_PI),
         l_final_m=l_final,
         delta_m=_delta(l_final, obs),
     )
 
 
-def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
-    """Three-stage estimate: coarse chain, residual correction, final fit.
+def _concerto(k: PlanConstants, phases: np.ndarray):
+    """The three stages on one observation (N,) or a row block (B, N).
 
     The residual stage wraps the adjacent differences of the phases shifted
     by the coarse range in one step; wrapping each compensated phase first,
     as :func:`compensate_phases` does, changes no difference modulo 2*pi.
 
-    Assumes |true range| < UMR/2; the only raised errors are degenerate-plan
-    conditions propagated from the stage kernels.
+    Returns (l_coarse, l_final, m_chain, l_residual, l_mid, fold).
     """
-    k = plan_constants(obs.plan)
-    phases = obs.phases_rad
-
     m_chain, turns = _chain(k, phases)
     l_c = turns * k.beat_last
 
-    dphi = phases[:-1] - phases[1:]
-    dphi -= l_c * k.step_two_pi_inv_lam
+    dphi = phases[..., :-1] - phases[..., 1:]
+    dphi -= _per_row(l_c) * k.step_two_pi_inv_lam
     l_r = _residual(k, wrap_inplace(dphi))
     l_m = l_c + l_r
 
     phase_turns = phases * _INV_TWO_PI
     fold = _fold(k, l_m, phase_turns)
-    l_final = _fit(k, fold, phase_turns)
+    return l_c, _fit(k, fold, phase_turns), m_chain, l_r, l_m, fold
+
+
+def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
+    """Three-stage estimate: coarse chain, residual correction, final fit.
+
+    Assumes |true range| < UMR/2; the only raised errors are degenerate-plan
+    conditions propagated from the stage kernels.
+    """
+    l_c, l_final, m_chain, l_r, l_m, fold = _concerto(plan_constants(obs.plan), obs.phases_rad)
+    l_final = float(l_final)
     return EstimateTrace(
         method="concerto",
         m_chain=m_chain,
         l_coarse_m=l_c,
-        l_residual_m=l_r,
-        l_mid_m=l_m,
+        l_residual_m=float(l_r),
+        l_mid_m=float(l_m),
         fold_ints=fold,
         l_final_m=l_final,
         delta_m=_delta(l_final, obs),
@@ -526,7 +576,7 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     l_cand_best = (best_m + phi0_turns) * lam0
     phase_turns = phases * _INV_TWO_PI
     fold = _fold(k, l_cand_best, phase_turns)
-    l_final = _fit(k, fold, phase_turns)
+    l_final = float(_fit(k, fold, phase_turns))
 
     # Beat-chain analogue implied by the final range, for trace completeness.
     bp = wrap_inplace(phases[0] - phases[1:])
@@ -574,3 +624,19 @@ def registered_estimators() -> tuple:
 register_estimator("bw", bw_estimate)
 register_estimator("concerto", concerto_estimate)
 register_estimator("ef", ef_estimate)
+
+#: Row-block forms of the registered estimators that have one: (plan
+#: constants, phases (B, N)) -> (l_coarse_m, l_final_m, ...), one (B,) array
+#: each. Keyed by the estimator function, so a name registered or patched to
+#: another function is evaluated through that function.
+_BLOCK_KERNELS = {bw_estimate: _bw, concerto_estimate: _concerto}
+
+
+def block_kernel(fn):
+    """The row-block kernel behind the estimator function ``fn``, or None.
+
+    The Monte-Carlo harness runs an estimator that has one on whole row
+    blocks, and feeds any other (``ef``'s candidate scan, user estimators)
+    one observation at a time.
+    """
+    return _BLOCK_KERNELS.get(fn)

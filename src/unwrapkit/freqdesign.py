@@ -23,6 +23,11 @@ from .errors import InfeasibleDesignError, InvalidArgumentError
 RATIO_RTOL = 1e-9
 
 
+def _check_speed(c_m_s: float) -> None:
+    if not (math.isfinite(c_m_s) and c_m_s > 0.0):
+        raise InvalidArgumentError("propagation speed must be finite and positive")
+
+
 def design_concerto_plan(
     f_high_hz: float,
     f_low_hz: float,
@@ -36,6 +41,7 @@ def design_concerto_plan(
     unambiguous range equal to K (up to rounding) and minimizes the noise
     amplification per chain step.
     """
+    _check_speed(c_m_s)
     if n < 3:
         raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
     if not (f_high_hz > f_low_hz > 0.0):
@@ -74,6 +80,7 @@ def design_bw_plan(
     The range budget is set to the resulting unambiguous range
     (c/B)*(f_0/B)^(N-2); there is no independent K for this family.
     """
+    _check_speed(c_m_s)
     if n < 3:
         raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
     if not (f_high_hz > bandwidth_hz > 0.0):
@@ -184,12 +191,23 @@ def plan_to_csv(plan: FrequencyPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_float(value: str, what: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise InvalidArgumentError(f"plan file: {what} {value!r} is not a number") from None
+
+
 def plan_from_csv(text: str) -> FrequencyPlan:
-    """Parse a plan written by :func:`plan_to_csv`."""
+    """Parse a plan written by :func:`plan_to_csv`.
+
+    A malformed file raises :class:`InvalidArgumentError` naming the line or
+    header key at fault.
+    """
     meta = {}
     freqs = []
     saw_header = False
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -207,17 +225,17 @@ def plan_from_csv(text: str) -> FrequencyPlan:
         parts = line.split(",")
         if len(parts) < 2:
             raise InvalidArgumentError(f"plan file: malformed row {line!r}")
-        freqs.append(float(parts[1]))
+        freqs.append(_csv_float(parts[1], f"line {lineno}: f_hz"))
     if not freqs:
         raise InvalidArgumentError("plan file contains no frequency rows")
 
     def _opt_float(key):
         value = meta.get(key, "none")
-        return None if value == "none" else float(value)
+        return None if value == "none" else _csv_float(value, key)
 
     return FrequencyPlan(
         freqs_hz=tuple(freqs),
-        c_m_s=float(meta.get("c_m_s", "299792458.0")),
+        c_m_s=_csv_float(meta.get("c_m_s", "299792458.0"), "c_m_s"),
         pattern_kind=meta.get("pattern", "explicit"),
         range_budget_m=_opt_float("range_budget_m"),
         ratio=_opt_float("ratio"),

@@ -181,6 +181,40 @@ def test_exit_codes(tmp_path, capsys):
         "estimate", "--plan", str(flat), "--phases", "0.0,0.0",
     ])
     assert code in (2, 3)  # order violation reported at load time
+    # malformed plan files: a non-numeric frequency cell or header value
+    for name, text in (
+        ("bad_cell.csv", "index,f_hz,lambda_m\n0,abc,0.12\n"),
+        ("bad_c.csv", "# c_m_s=xyz\nindex,f_hz,lambda_m\n0,2.5e9,0.12\n"),
+    ):
+        malformed = tmp_path / name
+        malformed.write_text(text)
+        code, _, err = _run(capsys, [
+            "estimate", "--plan", str(malformed), "--phases", "0.0",
+        ])
+        assert code == 2
+        assert "not a number" in err
+    # a non-positive propagation speed is named as such, not as infeasible
+    code, _, err = _run(capsys, [
+        "design", "--f-high", "2.5e9", "--f-low", "2.4e9",
+        "--n", "5", "--k", "144", "--c", "-1",
+    ])
+    assert code == 2
+    assert "propagation speed must be finite and positive" in err
+    # no observations to time
+    code, _, err = _run(capsys, [
+        "bench", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",
+        "--k", "144", "--c", "3e8", "--n-obs", "0",
+    ])
+    assert code == 1
+    assert "--n-obs" in err
+    # a truth half-width beyond UMR/2 would give a meaningless MSE
+    code, _, err = _run(capsys, [
+        "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",
+        "--k", "144", "--c", "3e8", "--methods", "concerto",
+        "--snr-db-list", "20", "--trials", "10", "--truth-halfwidth", "1e6",
+    ])
+    assert code == 1
+    assert "half-width" in err
 
 
 def test_sweep_range_cli(capsys):

@@ -77,6 +77,12 @@ def test_design_errors():
         design_concerto_plan(2400e6, 2500e6, 5, 144.0, C)
     with pytest.raises(InvalidArgumentError):
         design_bw_plan(2500e6, 100e6, 2, C)
+    # the speed is checked before B*K/c, which it would otherwise make look infeasible
+    for bad_c in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="propagation speed"):
+            design_concerto_plan(2500e6, 2400e6, 5, 144.0, bad_c)
+        with pytest.raises(InvalidArgumentError, match="propagation speed"):
+            design_bw_plan(2500e6, 100e6, 5, bad_c)
 
 
 def test_bw_design_closed_form():
@@ -157,3 +163,8 @@ def test_plan_csv_round_trip():
         plan_from_csv("index,f_hz,lambda_m\n")
     with pytest.raises(InvalidArgumentError):
         plan_from_csv("not a plan\n")
+    with pytest.raises(InvalidArgumentError, match="line 2: f_hz 'abc'"):
+        plan_from_csv("index,f_hz,lambda_m\n0,abc,0.12\n")
+    for key in ("c_m_s", "ratio", "range_budget_m"):
+        with pytest.raises(InvalidArgumentError, match=key):
+            plan_from_csv(f"# {key}=xyz\nindex,f_hz,lambda_m\n0,2.5e9,0.12\n")

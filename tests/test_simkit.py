@@ -10,10 +10,12 @@ from unwrapkit import (
     ConfigError,
     InvalidArgumentError,
     NoiseSpec,
+    PhaseObservation,
     SimReport,
     TrialConfig,
     UnknownEstimatorError,
     design_concerto_plan,
+    lookup_estimator,
     mix_seed,
     run_trials,
     snr_threshold,
@@ -21,7 +23,10 @@ from unwrapkit import (
     sweep_snr,
     synthesize_observation,
     true_phases,
+    wrap_phase,
 )
+from unwrapkit import simkit
+from unwrapkit.core import TWO_PI
 from unwrapkit.simkit import CSV_HEADER
 
 C = 3e8
@@ -117,6 +122,21 @@ def test_run_trials_config_errors():
         run_trials(cfg)
 
 
+def test_truth_config_validation():
+    base = dict(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0)
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e6):
+        with pytest.raises(ConfigError, match="half-width"):
+            TrialConfig(**base, truth_halfwidth_m=bad)
+    with pytest.raises(ConfigError, match="half-width"):
+        TrialConfig(**base, truth_halfwidth_m=PLAN.umr_m / 2.0 * (1.0 + 1e-8))
+    # K/2 of a designed plan may sit about 1e-13 relative above UMR/2
+    for halfwidth in (PLAN.range_budget_m / 2.0, PLAN.umr_m / 2.0 * (1.0 + 1e-12)):
+        assert TrialConfig(**base, truth_halfwidth_m=halfwidth).resolved_halfwidth() == halfwidth
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="truth_m"):
+            TrialConfig(**base, truth_policy="fixed", truth_m=bad)
+
+
 def test_fixed_truth_policy():
     cfg = TrialConfig(
         plan=PLAN, noise=NoiseSpec(0.0), trials=50, seed=4,
@@ -146,6 +166,25 @@ def test_metric_consistency_and_csv_schema():
             math.sqrt(row.p_fail_lambda0 * (1 - row.p_fail_lambda0) / row.n_trials),
             rel=1e-12, abs=1e-15,
         )
+    # every column keeps its position; the standard errors come last
+    header = CSV_HEADER.split(",")
+    assert header[:11] == (
+        "sweep_param,method,n_trials,mse_m2,rmse_m,mse_db,"
+        "p_fail_lambda0,p_fail_stderr,p_coarse_fail,crb_m2,mean_error_m"
+    ).split(",")
+    assert header[11:] == ["mse_stderr_m2", "p_coarse_fail_stderr"]
+    for line, row in zip(lines[1:], report.rows):
+        cells = dict(zip(header, line.split(",")))
+        assert len(cells) == len(header) == len(line.split(","))
+        assert float(cells["mse_stderr_m2"]) == row.mse_stderr_m2 > 0.0
+        if row.method == "concerto":
+            assert float(cells["p_coarse_fail_stderr"]) == row.p_coarse_fail_stderr
+            assert row.p_coarse_fail_stderr == pytest.approx(
+                math.sqrt(row.p_coarse_fail * (1 - row.p_coarse_fail) / row.n_trials),
+                rel=1e-12, abs=1e-15,
+            )
+        else:
+            assert math.isnan(float(cells["p_coarse_fail_stderr"]))
 
 
 def test_sweep_snr_exact_in_high_snr_limit():
@@ -237,3 +276,68 @@ def test_report_round_trip_floats():
     text = report.to_csv()
     fields = text.strip().split("\n")[1].split(",")
     assert float(fields[3]) == report.rows[0].mse_m2  # repr round-trips
+
+
+@pytest.mark.parametrize(
+    "snr_db,policy",
+    [(10.0, "uniform"), (20.0, "uniform"), (10.0, "fixed"), (20.0, "fixed"), (None, "uniform")],
+)
+def test_row_blocks_match_trial_by_trial_scalar_path(snr_db, policy):
+    # The parent trial-by-trial loop: one generator per trial, the truth
+    # drawn first, then wrap(2*pi*L/lambda + sigma*z) and the scalar
+    # estimators on each observation.
+    noise = NoiseSpec(0.0) if snr_db is None else NoiseSpec.from_snr_db(snr_db)
+    cfg = TrialConfig(
+        plan=PLAN, noise=noise, trials=simkit.CHUNK_TRIALS, seed=17,
+        methods=("concerto", "bw", "ef"), truth_policy=policy,
+        truth_m=-23.75 if policy == "fixed" else None,
+    )
+    lam = np.array(PLAN.wavelengths_m)
+    halfwidth = cfg.resolved_halfwidth()
+    coarse_limit = C / (2.0 * PLAN.bandwidth_hz)
+    truths, phases, l_coarse, l_final = [], [], {}, {}
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(mix_seed(cfg.seed, t))
+        l_true = rng.uniform(-halfwidth, halfwidth) if policy == "uniform" else cfg.truth_m
+        state = rng.bit_generator.state
+        ideal = TWO_PI * l_true / lam
+        if noise.sigma_rad > 0.0:
+            ideal = ideal + noise.sigma_rad * rng.standard_normal(lam.size)
+        obs = PhaseObservation(phases_rad=wrap_phase(ideal), plan=PLAN, truth_m=l_true)
+        # the one-row synthesis draws the same normals
+        rng.bit_generator.state = state
+        again = synthesize_observation(l_true, PLAN, noise, rng)
+        np.testing.assert_array_equal(again.phases_rad, obs.phases_rad)
+        truths.append(l_true)
+        phases.append(obs.phases_rad)
+        for name in cfg.methods:
+            trace = lookup_estimator(name)(obs)
+            l_coarse.setdefault(name, []).append(trace.l_coarse_m)
+            l_final.setdefault(name, []).append(trace.l_final_m)
+    truths = np.array(truths)
+
+    block_phases, block_coarse, block_final = [], {}, {}
+    for lo in range(0, cfg.trials, simkit.BLOCK_ROWS):
+        hi = min(lo + simkit.BLOCK_ROWS, cfg.trials)
+        b_truths, b_phases, estimates = simkit._evaluate_block(cfg, lo, hi)
+        np.testing.assert_array_equal(b_truths, truths[lo:hi])
+        block_phases.append(b_phases)
+        for name, (lc, lf) in estimates.items():
+            block_coarse.setdefault(name, []).append(lc)
+            block_final.setdefault(name, []).append(lf)
+    np.testing.assert_array_equal(np.concatenate(block_phases), np.array(phases))
+
+    partial = simkit._run_chunk(cfg, 0, cfg.trials)
+    for name in cfg.methods:
+        scalar_final = np.array(l_final[name])
+        batch_final = np.concatenate(block_final[name])
+        assert np.max(np.abs(batch_final - scalar_final)) <= 1e-12, name
+        e = scalar_final - truths
+        assert partial[name]["fail"] == np.count_nonzero(np.abs(e) > lam[0]), name
+        assert partial[name]["sum_e2"] == pytest.approx(float(np.sum(e * e)), rel=1e-9)
+    np.testing.assert_array_equal(
+        np.concatenate(block_coarse["concerto"]), np.array(l_coarse["concerto"]))
+    coarse = np.abs(truths - np.array(l_coarse["concerto"])) > coarse_limit
+    assert partial["concerto"]["coarse_fail"] == np.count_nonzero(coarse)
+    if snr_db == 10.0:
+        assert partial["concerto"]["fail"] > 0  # the comparison covers failures
