@@ -19,9 +19,9 @@ only pay for the per-observation arithmetic. All entry points are pure
 functions and safe for concurrent use.
 
 Each stage has one kernel that takes one observation's phases (N,) or a
-row block (B, N). The public estimators are the one-observation view; the
-Monte-Carlo harness runs ``concerto`` and ``bw`` on whole row blocks
-through :func:`block_kernel`.
+row block (B, N). The public estimators compose them on one observation;
+the Monte-Carlo harness runs ``concerto`` and ``bw`` on whole row blocks
+through :func:`block_kernel`, which composes the same kernels on (B, N).
 
 Rounding convention: round-half-away-from-zero, everywhere an integer is
 recovered from a noisy real value. Ties are measure-zero but deterministic.
@@ -62,19 +62,10 @@ def _round_half_away_arr(x: np.ndarray) -> np.ndarray:
     return np.trunc(r, out=r)
 
 
-def _round_half_away(x):
-    """Round half away from zero: an array for an array, a float otherwise."""
-    if isinstance(x, np.ndarray):
-        return _round_half_away_arr(x)
-    x = float(x)
-    # // 1.0 is an exact float floor
-    return (x + 0.5) // 1.0 if x >= 0.0 else -((0.5 - x) // 1.0)
-
-
-def _per_row(x):
-    """A per-observation value as a factor on (..., N) arrays: a (B,) array
-    becomes a (B, 1) column, a scalar stays as it is."""
-    return x[:, None] if isinstance(x, np.ndarray) else x
+def _round_half_away(v: float) -> int:
+    if v >= 0.0:
+        return int(math.floor(v + 0.5))
+    return -int(math.floor(0.5 - v))
 
 
 def _int_tuple(values) -> tuple:
@@ -396,10 +387,8 @@ def cost_grid_oracle(
 
 def _fold(k: PlanConstants, l_m, phase_turns: np.ndarray) -> np.ndarray:
     """Fold-integer kernel: integer-valued floats round(l_m/lambda_i - phi_i/2pi)
-    for one range (phases (N,)) or one range per row (l_m (B,), phases (B, N))."""
-    x = _per_row(l_m) * k.inv_lam
-    x -= phase_turns
-    return _round_half_away_arr(x)
+    for one range and phases (N,), or a (B, 1) column of ranges and (B, N)."""
+    return _round_half_away_arr(l_m * k.inv_lam - phase_turns)
 
 
 def _fit(k: PlanConstants, fold: np.ndarray, phase_turns: np.ndarray):
@@ -435,18 +424,6 @@ def _delta(l_final: float, obs: PhaseObservation):
     return None if obs.truth_m is None else l_final - obs.truth_m
 
 
-def _bw(k: PlanConstants, phases: np.ndarray):
-    """The classical chain and its final rounding at lambda_0, on one
-    observation (N,) or a row block (B, N).
-
-    Returns (l_coarse, l_final, m_chain).
-    """
-    m_chain, turns = _chain(k, phases)
-    phi0_turns = phases.T[0] * _INV_TWO_PI
-    m0 = _round_half_away(turns * (k.beat_last / k.lam0) - phi0_turns)
-    return turns * k.beat_last, (m0 + phi0_turns) * k.lam0, m_chain
-
-
 def bw_estimate(obs: PhaseObservation) -> EstimateTrace:
     """Classical chain estimate, including the final rounding step at lambda_0.
 
@@ -455,60 +432,80 @@ def bw_estimate(obs: PhaseObservation) -> EstimateTrace:
     """
     k = plan_constants(obs.plan)
     phases = obs.phases_rad
-    l_c, l_final, m_chain = _bw(k, phases)
-    l_final = float(l_final)
+    m_chain, turns = _chain(k, phases)
+    l_c = turns * k.beat_last
+    phi0_turns = float(phases[0]) * _INV_TWO_PI
+    m0 = _round_half_away(turns * (k.beat_last / k.lam0) - phi0_turns)
+    l_final = (m0 + phi0_turns) * k.lam0
+    fold = _fold(k, l_final, phases * _INV_TWO_PI)
     return EstimateTrace(
         method="bw",
         m_chain=m_chain,
         l_coarse_m=l_c,
         l_residual_m=0.0,
         l_mid_m=l_c + 0.0,
-        fold_ints=_fold(k, l_final, phases * _INV_TWO_PI),
+        fold_ints=fold,
         l_final_m=l_final,
         delta_m=_delta(l_final, obs),
     )
 
 
-def _concerto(k: PlanConstants, phases: np.ndarray):
-    """The three stages on one observation (N,) or a row block (B, N).
-
-    The residual stage wraps the adjacent differences of the phases shifted
-    by the coarse range in one step; wrapping each compensated phase first,
-    as :func:`compensate_phases` does, changes no difference modulo 2*pi.
-
-    Returns (l_coarse, l_final, m_chain, l_residual, l_mid, fold).
-    """
-    m_chain, turns = _chain(k, phases)
-    l_c = turns * k.beat_last
-
-    dphi = phases[..., :-1] - phases[..., 1:]
-    dphi -= _per_row(l_c) * k.step_two_pi_inv_lam
-    l_r = _residual(k, wrap_inplace(dphi))
-    l_m = l_c + l_r
-
-    phase_turns = phases * _INV_TWO_PI
-    fold = _fold(k, l_m, phase_turns)
-    return l_c, _fit(k, fold, phase_turns), m_chain, l_r, l_m, fold
+def _bw_rows(k: PlanConstants, phases: np.ndarray):
+    """:func:`bw_estimate` on a row block (B, N): (l_coarse_m, l_final_m)."""
+    _, turns = _chain(k, phases)
+    phi0_turns = phases[:, 0] * _INV_TWO_PI
+    m0 = _round_half_away_arr(turns * (k.beat_last / k.lam0) - phi0_turns)
+    return turns * k.beat_last, (m0 + phi0_turns) * k.lam0
 
 
 def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
     """Three-stage estimate: coarse chain, residual correction, final fit.
 
+    The residual stage wraps the adjacent differences of the phases shifted
+    by the coarse range in one step; wrapping each compensated phase first,
+    as :func:`compensate_phases` does, changes no difference modulo 2*pi.
+
     Assumes |true range| < UMR/2; the only raised errors are degenerate-plan
     conditions propagated from the stage kernels.
     """
-    l_c, l_final, m_chain, l_r, l_m, fold = _concerto(plan_constants(obs.plan), obs.phases_rad)
-    l_final = float(l_final)
+    k = plan_constants(obs.plan)
+    phases = obs.phases_rad
+
+    m_chain, turns = _chain(k, phases)
+    l_c = turns * k.beat_last
+
+    dphi = phases[:-1] - phases[1:]
+    dphi -= l_c * k.step_two_pi_inv_lam
+    l_r = float(_residual(k, wrap_inplace(dphi)))
+    l_m = l_c + l_r
+
+    phase_turns = phases * _INV_TWO_PI
+    fold = _fold(k, l_m, phase_turns)
+    l_final = float(_fit(k, fold, phase_turns))
     return EstimateTrace(
         method="concerto",
         m_chain=m_chain,
         l_coarse_m=l_c,
-        l_residual_m=float(l_r),
-        l_mid_m=float(l_m),
+        l_residual_m=l_r,
+        l_mid_m=l_m,
         fold_ints=fold,
         l_final_m=l_final,
         delta_m=_delta(l_final, obs),
     )
+
+
+def _concerto_rows(k: PlanConstants, phases: np.ndarray):
+    """:func:`concerto_estimate` on a row block (B, N): (l_coarse_m, l_final_m)."""
+    _, turns = _chain(k, phases)
+    l_c = turns * k.beat_last
+
+    dphi = phases[:, :-1] - phases[:, 1:]
+    dphi -= l_c[:, None] * k.step_two_pi_inv_lam
+    l_m = l_c + _residual(k, wrap_inplace(dphi))
+
+    phase_turns = phases * _INV_TWO_PI
+    fold = _fold(k, l_m[:, None], phase_turns)
+    return l_c, _fit(k, fold, phase_turns)
 
 
 _EF_CHUNK = 4096
@@ -625,18 +622,20 @@ register_estimator("bw", bw_estimate)
 register_estimator("concerto", concerto_estimate)
 register_estimator("ef", ef_estimate)
 
-#: Row-block forms of the registered estimators that have one: (plan
-#: constants, phases (B, N)) -> (l_coarse_m, l_final_m, ...), one (B,) array
-#: each. Keyed by the estimator function, so a name registered or patched to
-#: another function is evaluated through that function.
-_BLOCK_KERNELS = {bw_estimate: _bw, concerto_estimate: _concerto}
+#: Row-block forms of the registered estimators that have one, keyed by the
+#: estimator function.
+_BLOCK_KERNELS = {bw_estimate: _bw_rows, concerto_estimate: _concerto_rows}
 
 
 def block_kernel(fn):
-    """The row-block kernel behind the estimator function ``fn``, or None.
+    """The row-block form of the estimator function ``fn``, or None.
 
-    The Monte-Carlo harness runs an estimator that has one on whole row
-    blocks, and feeds any other (``ef``'s candidate scan, user estimators)
-    one observation at a time.
+    The kernel maps (plan constants, phases (B, N)) to (l_coarse_m,
+    l_final_m), one (B,) array each, equal to what ``fn`` gives row by row
+    (``l_final_m`` up to the summation order of the final fit's dot product).
+    Only the registered ``concerto`` and ``bw`` functions have one. Any other
+    function, including a wrapper around one of them or a function patched
+    into the registry, has none: the Monte-Carlo harness then calls it on
+    one observation per trial, so a wrapper sees every trial.
     """
     return _BLOCK_KERNELS.get(fn)

@@ -225,7 +225,12 @@ def plan_from_csv(text: str) -> FrequencyPlan:
         parts = line.split(",")
         if len(parts) < 2:
             raise InvalidArgumentError(f"plan file: malformed row {line!r}")
-        freqs.append(_csv_float(parts[1], f"line {lineno}: f_hz"))
+        try:
+            freqs.append(float(parts[1]))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"plan file: line {lineno}: f_hz {parts[1]!r} is not a number"
+            ) from None
     if not freqs:
         raise InvalidArgumentError("plan file contains no frequency rows")
 

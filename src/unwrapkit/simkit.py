@@ -15,10 +15,13 @@ versions or other implementations).
 
 Evaluation: a chunk is drawn, synthesized and estimated in row blocks of
 ``BLOCK_ROWS`` trials, one (B, N) array per block. ``concerto`` and ``bw``
-run their stage kernels on the whole block; estimators without a row-block
-kernel (``ef``, user-registered ones) are fed one row at a time. The
-per-trial random streams, and so the synthesized phases, are the ones a
-trial-by-trial loop over :func:`synthesize_observation` draws.
+run their stage kernels on the whole block. An estimator without a
+row-block kernel (``ef``, a user-registered one, or any wrapper around a
+registered function) is called on one observation per trial, made by
+:func:`synthesize_observation`; a block that needs those observations is
+synthesized trial by trial, so a wrapper of either name sees every trial.
+Either way the per-trial random streams, and so the synthesized phases, are
+the ones a trial-by-trial loop over :func:`synthesize_observation` draws.
 
 Parallelism: trials are independent; if the environment variable
 ``UNWRAP_KIT_THREADS`` is set above 1, chunks are dispatched to a process
@@ -219,6 +222,11 @@ def _worker_count() -> int:
 def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
     """Draw, synthesize and estimate trials [start, stop) as one row block.
 
+    Estimators with a row-block kernel run on the whole (B, N) block. Any
+    other estimator is called on one observation per trial, and the block's
+    trials are then synthesized one at a time by :func:`synthesize_observation`
+    (the one-row view of the block synthesis, so the phases are the same).
+
     Returns the truths (B,), the phases (B, N) and
     {method: (l_coarse_m, l_final_m)}, one (B,) array each.
     """
@@ -227,30 +235,41 @@ def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
     sigma = cfg.noise.sigma_rad
     uniform = cfg.truth_policy == "uniform"
     halfwidth = cfg.resolved_halfwidth()
+    estimators = {name: lookup_estimator(name) for name in cfg.methods}
+    kernels = {name: block_kernel(fn) for name, fn in estimators.items()}
+
     truths = np.empty(rows) if uniform else np.full(rows, float(cfg.truth_m))
-    draws = np.empty((rows, plan.n)) if sigma > 0.0 else None
+    if all(kernels.values()):
+        observations = None
+        draws = np.empty((rows, plan.n)) if sigma > 0.0 else None
+    else:
+        observations = []
+        phases = np.empty((rows, plan.n))
     for i in range(rows):
         rng = np.random.default_rng(mix_seed(cfg.seed, start + i))
         if uniform:
             truths[i] = rng.uniform(-halfwidth, halfwidth)
-        if draws is not None:
+        if observations is not None:
+            obs = synthesize_observation(truths[i], plan, cfg.noise, rng)
+            phases[i] = obs.phases_rad
+            observations.append(obs)
+        elif draws is not None:
             rng.standard_normal(out=draws[i])
-    phases = _synthesize_block(plan, truths, sigma, draws)
+    if observations is None:
+        phases = _synthesize_block(plan, truths, sigma, draws)
 
     k = plan_constants(plan)
     estimates = {}
-    for name in cfg.methods:
-        fn = lookup_estimator(name)
-        kernel = block_kernel(fn)
+    for name, fn in estimators.items():
+        kernel = kernels[name]
         if kernel is not None:
-            estimates[name] = kernel(k, phases)[:2]
-            continue
-        l_coarse, l_final = np.empty(rows), np.empty(rows)
-        for i in range(rows):
-            trace = fn(PhaseObservation(phases_rad=phases[i], plan=plan, truth_m=float(truths[i])))
-            l_coarse[i] = trace.l_coarse_m
-            l_final[i] = trace.l_final_m
-        estimates[name] = (l_coarse, l_final)
+            estimates[name] = kernel(k, phases)
+        else:
+            traces = [fn(obs) for obs in observations]
+            estimates[name] = (
+                np.array([t.l_coarse_m for t in traces]),
+                np.array([t.l_final_m for t in traces]),
+            )
     return truths, phases, estimates
 
 

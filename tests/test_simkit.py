@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from unwrapkit import (
     true_phases,
     wrap_phase,
 )
-from unwrapkit import simkit
+from unwrapkit import estimators, simkit
 from unwrapkit.core import TWO_PI
 from unwrapkit.simkit import CSV_HEADER
 
@@ -316,6 +317,10 @@ def test_row_blocks_match_trial_by_trial_scalar_path(snr_db, policy):
             l_final.setdefault(name, []).append(trace.l_final_m)
     truths = np.array(truths)
 
+    # With ef in the batch every trial is synthesized on its own for it;
+    # concerto and bw alone take the block synthesis. Both give the same
+    # phases, and concerto and bw the same estimates.
+    batched = replace(cfg, methods=("concerto", "bw"))
     block_phases, block_coarse, block_final = [], {}, {}
     for lo in range(0, cfg.trials, simkit.BLOCK_ROWS):
         hi = min(lo + simkit.BLOCK_ROWS, cfg.trials)
@@ -325,6 +330,12 @@ def test_row_blocks_match_trial_by_trial_scalar_path(snr_db, policy):
         for name, (lc, lf) in estimates.items():
             block_coarse.setdefault(name, []).append(lc)
             block_final.setdefault(name, []).append(lf)
+        o_truths, o_phases, only = simkit._evaluate_block(batched, lo, hi)
+        np.testing.assert_array_equal(o_truths, b_truths)
+        np.testing.assert_array_equal(o_phases, b_phases)
+        for name in batched.methods:
+            np.testing.assert_array_equal(only[name][0], estimates[name][0])
+            np.testing.assert_array_equal(only[name][1], estimates[name][1])
     np.testing.assert_array_equal(np.concatenate(block_phases), np.array(phases))
 
     partial = simkit._run_chunk(cfg, 0, cfg.trials)
@@ -341,3 +352,31 @@ def test_row_blocks_match_trial_by_trial_scalar_path(snr_db, policy):
     assert partial["concerto"]["coarse_fail"] == np.count_nonzero(coarse)
     if snr_db == 10.0:
         assert partial["concerto"]["fail"] > 0  # the comparison covers failures
+
+
+def test_wrapped_estimator_sees_every_trial(monkeypatch):
+    # A wrapper has no row-block kernel, so it is called once per trial, on
+    # the observation synthesize_observation made for that trial.
+    cfg = TrialConfig(plan=PLAN, noise=NoiseSpec.from_snr_db(15.0), trials=300, seed=8)
+    expected = run_trials(cfg).rows[0]
+    original = lookup_estimator("concerto")
+    seen, synthesized = [], []
+
+    def wrapper(obs):
+        seen.append(obs)
+        return original(obs)
+
+    def synthesize(*args):
+        synthesized.append(simkit_synthesize(*args))
+        return synthesized[-1]
+
+    simkit_synthesize = simkit.synthesize_observation
+    monkeypatch.setitem(estimators._REGISTRY, "concerto", wrapper)
+    monkeypatch.setattr(simkit, "synthesize_observation", synthesize)
+    row = run_trials(cfg).rows[0]
+    assert len(seen) == len(synthesized) == cfg.trials
+    assert all(a is b for a, b in zip(seen, synthesized))
+    assert (row.p_fail_lambda0, row.p_coarse_fail) == (
+        expected.p_fail_lambda0, expected.p_coarse_fail)
+    # the final fit's dot product sums in another order on a row block
+    assert row.mse_m2 == pytest.approx(expected.mse_m2, rel=1e-12)
