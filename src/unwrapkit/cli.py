@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -37,10 +38,8 @@ from .freqdesign import (
     validate_plan,
 )
 from .simkit import (
-    CSV_HEADER,
     TrialConfig,
     mix_seed,
-    run_trials,
     snr_threshold,
     sweep_range,
     sweep_snr,
@@ -48,22 +47,33 @@ from .simkit import (
 )
 from .theory import crb
 
-CONFIG_KEYS = (
-    "f_high_hz",
-    "f_low_hz",
-    "n_freq",
-    "range_k_m",
-    "c_m_s",
-    "seed",
-    "trials",
-    "snr_db_list",
-    "k_list_m",
-    "n_list",
-    "methods",
-    "truth_policy",
-    "truth_m",
-    "p_threshold",
-)
+#: Every setting a config file may give: flag dest -> (config key, converter,
+#: default, help). A flag overrides the file and the file overrides the
+#: default; None means no default, and ``_require`` names the settings a
+#: subcommand cannot run without. The flag of dest ``x_y`` is ``--x-y``.
+SETTINGS = {
+    "f_high": ("f_high_hz", float, None, "highest frequency f_0 (Hz)"),
+    "f_low": ("f_low_hz", float, None, "lowest frequency (Hz)"),
+    "n": ("n_freq", int, None, "number of frequencies N"),
+    "k": ("range_k_m", float, None, "range budget K (m)"),
+    "c": ("c_m_s", float, C_VACUUM_M_S, "propagation speed (m/s)"),
+    "seed": ("seed", int, 0, "master seed"),
+    "trials": ("trials", int, 10000, "Monte-Carlo trials per point"),
+    "snr_db_list": ("snr_db_list", str, None, "SNR points (dB): comma list or range a..b"),
+    "k_list": ("k_list_m", str, None, "range budgets (m): comma list or range a..b"),
+    "n_list": ("n_list", str, None, "frequency counts: comma list or range a..b"),
+    "methods": ("methods", str, "concerto,bw,ef", "comma list of estimator names"),
+    "truth_policy": ("truth_policy", str, "uniform", "uniform or fixed"),
+    "truth_m": ("truth_m", float, None, "true range (m)"),
+    "p_th": ("p_threshold", float, 1e-3, "target P(|error| > lambda_0)"),
+}
+
+CONFIG_KEYS = tuple(key for key, _, _, _ in SETTINGS.values())
+
+#: A long flag without ``=value``, and the start of a negative number or
+#: number list such as ``-0.3,0.1`` or ``-1e3``.
+_BARE_FLAG = re.compile(r"--[\w-]+")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,14 +87,20 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
+def _read_utf8(path: str, error) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_config(path: str) -> dict:
     """Parse a flat ``key = value`` config file into a dict.
 
     Unknown keys are rejected by name. List values are comma-separated.
     """
-    text = Path(path).read_text()
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_utf8(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -97,7 +113,27 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _parse_float_list(text: str) -> list:
+def _resolve(args, config: dict) -> None:
+    """Fill each setting the parsed subcommand defines and no flag gave."""
+    for dest, (key, convert, default, _) in SETTINGS.items():
+        if not hasattr(args, dest) or getattr(args, dest) is not None:
+            continue
+        if key in config:
+            try:
+                default = convert(config[key])
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        setattr(args, dest, default)
+
+
+def _require(args, *dests) -> None:
+    for dest in dests:
+        if getattr(args, dest) is None:
+            key = SETTINGS[dest][0]
+            raise ConfigError(f"missing required key {key!r} (flag or config file)")
+
+
+def _parse_list(text: str, convert=float) -> list:
     """Comma list of numbers, or an inclusive integer range 'a..b'."""
     text = text.strip()
     try:
@@ -106,23 +142,14 @@ def _parse_float_list(text: str) -> list:
             lo_i, hi_i = int(float(lo)), int(float(hi))
             if hi_i < lo_i:
                 raise ConfigError(f"empty range {text!r}")
-            return [float(v) for v in range(lo_i, hi_i + 1)]
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
+            return [convert(v) for v in range(lo_i, hi_i + 1)]
+        return [convert(float(part)) for part in text.split(",") if part.strip()]
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
 
 
-def _pick(args_value, config, key, convert, default=None, required=False):
-    if args_value is not None:
-        return args_value
-    if key in config:
-        try:
-            return convert(config[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    if required and default is None:
-        raise ConfigError(f"missing required key {key!r} (flag or config file)")
-    return default
+def _split_methods(text: str) -> tuple:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -133,7 +160,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _load_plan(path: str):
-    plan = plan_from_csv(Path(path).read_text())
+    plan = plan_from_csv(_read_utf8(path, InvalidArgumentError))
     violations = validate_plan(plan)
     if violations:
         raise InvalidArgumentError(
@@ -142,38 +169,29 @@ def _load_plan(path: str):
     return plan
 
 
-def _designed_plan(args, config):
-    f_high = _pick(args.f_high, config, "f_high_hz", float, required=True)
-    f_low = _pick(args.f_low, config, "f_low_hz", float, required=True)
-    n = _pick(args.n, config, "n_freq", int, required=True)
-    c = _pick(args.c, config, "c_m_s", float, default=C_VACUUM_M_S)
-    pattern = getattr(args, "pattern", "concerto")
-    if pattern == "bw":
-        return design_bw_plan(f_high, f_high - f_low, n, c)
-    k = _pick(args.k, config, "range_k_m", float, required=True)
-    return design_concerto_plan(f_high, f_low, n, k, c)
-
-
-def _plan_for(args, config):
+def _plan_for(args):
+    """The ``--plan`` file if one is given, else the plan the design settings make."""
     if getattr(args, "plan", None):
         return _load_plan(args.plan)
-    return _designed_plan(args, config)
+    _require(args, "f_high", "f_low", "n")
+    if getattr(args, "pattern", "concerto") == "bw":
+        return design_bw_plan(args.f_high, args.f_high - args.f_low, args.n, args.c)
+    _require(args, "k")
+    return design_concerto_plan(args.f_high, args.f_low, args.n, args.k, args.c)
 
 
-def _cmd_design(args, config):
-    plan = _designed_plan(args, config)
-    _emit(plan_to_csv(plan), args.out)
+def _cmd_design(args):
+    _emit(plan_to_csv(_plan_for(args)), args.out)
     return 0
 
 
-def _cmd_estimate(args, config):
+def _cmd_estimate(args):
     plan = _load_plan(args.plan)
     try:
         phases = np.array([float(p) for p in args.phases.split(",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse phase list: {exc}") from exc
-    truth = args.truth_m
-    obs = PhaseObservation(phases_rad=phases, plan=plan, truth_m=truth)
+    obs = PhaseObservation(phases_rad=phases, plan=plan, truth_m=args.truth_m)
     trace = lookup_estimator(args.method)(obs)
     lines = [
         "key,value",
@@ -190,53 +208,36 @@ def _cmd_estimate(args, config):
     return 0
 
 
-def _cmd_crb(args, config):
-    plan = _plan_for(args, config)
-    bound = crb(plan, NoiseSpec.from_snr_db(args.snr_db))
+def _cmd_crb(args):
+    bound = crb(_plan_for(args), NoiseSpec.from_snr_db(args.snr_db))
     _emit(f"crb_m2,rmse_m\n{bound!r},{math.sqrt(bound)!r}\n", args.out)
     return 0
 
 
-def _trial_config(args, config, plan, methods):
-    trials = _pick(args.trials, config, "trials", int, default=10000)
-    seed = _pick(args.seed, config, "seed", int, default=0)
-    policy = _pick(args.truth_policy, config, "truth_policy", str, default="uniform")
-    truth_m = _pick(args.truth_m, config, "truth_m", float)
-    return TrialConfig(
+def _cmd_simulate(args):
+    plan = _plan_for(args)
+    _require(args, "snr_db_list")
+    snr_list = _parse_list(args.snr_db_list)
+    cfg = TrialConfig(
         plan=plan,
         noise=NoiseSpec(0.0),
-        trials=trials,
-        seed=seed,
-        methods=tuple(methods),
-        truth_policy=policy,
-        truth_m=truth_m,
+        trials=args.trials,
+        seed=args.seed,
+        methods=_split_methods(args.methods),
+        truth_policy=args.truth_policy,
+        truth_m=args.truth_m,
         truth_halfwidth_m=args.truth_halfwidth,
     )
-
-
-def _cmd_simulate(args, config):
-    plan = _plan_for(args, config)
-    methods_text = _pick(args.methods, config, "methods", str, default="concerto,bw,ef")
-    methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-    snr_text = _pick(args.snr_db_list, config, "snr_db_list", str, required=True)
-    snr_list = _parse_float_list(snr_text)
-    cfg = _trial_config(args, config, plan, methods)
-    report = sweep_snr(cfg, snr_list)
-    _emit(report.to_csv(), args.out)
+    _emit(sweep_snr(cfg, snr_list).to_csv(), args.out)
     return 0
 
 
-def _cmd_sweep_range(args, config):
-    f_high = _pick(args.f_high, config, "f_high_hz", float, required=True)
-    f_low = _pick(args.f_low, config, "f_low_hz", float, required=True)
-    n = _pick(args.n, config, "n_freq", int, required=True)
-    c = _pick(args.c, config, "c_m_s", float, default=C_VACUUM_M_S)
-    k_text = _pick(args.k_list, config, "k_list_m", str, required=True)
-    k_list = _parse_float_list(k_text)
-    trials = _pick(args.trials, config, "trials", int, default=10000)
-    seed = _pick(args.seed, config, "seed", int, default=0)
-    snr_db = args.snr_db if args.snr_db is not None else 5.0
-    report = sweep_range(f_high, f_low, n, k_list, snr_db, trials, seed, c)
+def _cmd_sweep_range(args):
+    _require(args, "f_high", "f_low", "n", "k_list")
+    k_list = _parse_list(args.k_list)
+    report = sweep_range(
+        args.f_high, args.f_low, args.n, k_list, args.snr_db, args.trials, args.seed, args.c
+    )
     for row in report.rows:
         if row.error and not args.quiet:
             print(f"sweep-range: K={row.sweep_param:g} m skipped: {row.error}", file=sys.stderr)
@@ -244,44 +245,36 @@ def _cmd_sweep_range(args, config):
     return 0
 
 
-def _cmd_threshold(args, config):
-    f_high = _pick(args.f_high, config, "f_high_hz", float, required=True)
-    f_low = _pick(args.f_low, config, "f_low_hz", float, required=True)
-    c = _pick(args.c, config, "c_m_s", float, default=C_VACUUM_M_S)
-    k = _pick(args.k, config, "range_k_m", float, required=True)
-    n_text = _pick(args.n_list, config, "n_list", str, required=True)
-    n_list = [int(v) for v in _parse_float_list(n_text)]
-    grid = _parse_float_list(args.snr_grid)
-    trials = _pick(args.trials, config, "trials", int, default=10000)
-    seed = _pick(args.seed, config, "seed", int, default=0)
-    p_th = _pick(args.p_th, config, "p_threshold", float, default=1e-3)
+def _cmd_threshold(args):
+    _require(args, "f_high", "f_low", "k", "n_list")
+    n_list = _parse_list(args.n_list, int)
+    grid = _parse_list(args.snr_grid)
     lines = ["n,threshold_db"]
     for n in n_list:
-        result = snr_threshold(f_high, f_low, n, k, grid, trials, seed, p_th, c)
+        result = snr_threshold(
+            args.f_high, args.f_low, n, args.k, grid, args.trials, args.seed, args.p_th, args.c
+        )
         value = "above_grid" if result.threshold_db is None else repr(result.threshold_db)
         lines.append(f"{n},{value}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_bench(args, config):
+def _cmd_bench(args):
     if args.n_obs < 1:
         raise ConfigError(f"--n-obs must be >= 1, got {args.n_obs}")
-    plan = _plan_for(args, config)
-    methods_text = _pick(args.methods, config, "methods", str, default="concerto,bw,ef")
-    methods = [m.strip() for m in methods_text.split(",") if m.strip()]
-    seed = _pick(args.seed, config, "seed", int, default=0)
-    noise = NoiseSpec.from_snr_db(args.snr_db if args.snr_db is not None else 20.0)
+    plan = _plan_for(args)
+    noise = NoiseSpec.from_snr_db(args.snr_db)
     halfwidth = (plan.range_budget_m or plan.umr_m) / 4.0
     observations = []
     for t in range(args.n_obs):
-        rng = np.random.default_rng(mix_seed(seed, t))
+        rng = np.random.default_rng(mix_seed(args.seed, t))
         observations.append(
             synthesize_observation(rng.uniform(-halfwidth, halfwidth), plan, noise, rng)
         )
     k_cell = repr(plan.range_budget_m) if plan.range_budget_m is not None else "nan"
     lines = ["method,n,k_m,estimates_per_s"]
-    for name in methods:
+    for name in _split_methods(args.methods):
         fn = lookup_estimator(name)
         fn(observations[0])  # warm caches outside the timed region
         start = time.perf_counter()
@@ -294,96 +287,90 @@ def _cmd_bench(args, config):
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--quiet", action="store_true")
-
-
-def _add_design_params(parser):
-    parser.add_argument("--f-high", dest="f_high", type=float, default=None)
-    parser.add_argument("--f-low", dest="f_low", type=float, default=None)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--k", type=float, default=None)
-    parser.add_argument("--c", type=float, default=None)
+def _subcommand(sub, name, func, help_text, *settings, config=True):
+    """A subcommand parser with ``--config``, ``--out`` and the named settings."""
+    p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+    p.set_defaults(func=func)
+    if config:
+        p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--out", help="write output to this file instead of stdout")
+    for dest in settings:
+        _, convert, _, help_setting = SETTINGS[dest]
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert, help=help_setting)
+    return p
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="unwrapkit", description=__doc__)
+    parser = _Parser(prog="unwrapkit", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    design = ("f_high", "f_low", "n", "k", "c")
 
-    p = sub.add_parser("design", help="design a frequency plan and print it as CSV")
-    _add_common(p)
-    _add_design_params(p)
+    p = _subcommand(sub, "design", _cmd_design, "design a frequency plan and print it as CSV",
+                    *design)
     p.add_argument("--pattern", choices=("concerto", "bw"), default="concerto")
-    p.set_defaults(func=_cmd_design)
 
-    p = sub.add_parser("estimate", help="run one estimator on a phase list")
-    _add_common(p)
+    p = _subcommand(sub, "estimate", _cmd_estimate, "run one estimator on a phase list",
+                    "truth_m", config=False)
     p.add_argument("--plan", required=True, help="plan CSV file (design output)")
     p.add_argument("--phases", required=True, help="comma-separated wrapped phases (rad)")
     p.add_argument("--method", default="concerto")
-    p.add_argument("--truth-m", dest="truth_m", type=float, default=None)
-    p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("crb", help="print the range CRB for a plan and SNR")
-    _add_common(p)
-    _add_design_params(p)
-    p.add_argument("--plan", default=None)
+    p = _subcommand(sub, "crb", _cmd_crb, "print the range CRB for a plan and SNR", *design)
+    p.add_argument("--plan")
     p.add_argument("--snr-db", dest="snr_db", type=float, required=True)
-    p.set_defaults(func=_cmd_crb)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo SNR sweep, CSV per (method, SNR)")
-    _add_common(p)
-    _add_design_params(p)
-    p.add_argument("--plan", default=None)
-    p.add_argument("--methods", default=None)
-    p.add_argument("--snr-db-list", dest="snr_db_list", default=None,
-                   help="comma list or inclusive range a..b (dB)")
-    p.add_argument("--truth-policy", dest="truth_policy", default=None)
-    p.add_argument("--truth-m", dest="truth_m", type=float, default=None)
-    p.add_argument("--truth-halfwidth", dest="truth_halfwidth", type=float, default=None)
-    p.set_defaults(func=_cmd_simulate)
+    p = _subcommand(sub, "simulate", _cmd_simulate,
+                    "Monte-Carlo SNR sweep, CSV per (method, SNR)",
+                    *design, "seed", "trials", "methods", "snr_db_list", "truth_policy",
+                    "truth_m")
+    p.add_argument("--plan")
+    p.add_argument("--truth-halfwidth", dest="truth_halfwidth", type=float)
 
-    p = sub.add_parser("sweep-range", help="coarse-stage failure probability versus K")
-    _add_common(p)
-    _add_design_params(p)
-    p.add_argument("--k-list", dest="k_list", default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.set_defaults(func=_cmd_sweep_range)
+    p = _subcommand(sub, "sweep-range", _cmd_sweep_range,
+                    "coarse-stage failure probability versus K",
+                    "f_high", "f_low", "n", "c", "seed", "trials", "k_list")
+    p.add_argument("--snr-db", dest="snr_db", type=float, default=5.0)
+    p.add_argument("--quiet", action="store_true", help="no note for a skipped K")
 
-    p = sub.add_parser("threshold", help="SNR threshold scan versus frequency count")
-    _add_common(p)
-    _add_design_params(p)
-    p.add_argument("--n-list", dest="n_list", default=None)
+    p = _subcommand(sub, "threshold", _cmd_threshold,
+                    "SNR threshold scan versus frequency count",
+                    "f_high", "f_low", "k", "c", "seed", "trials", "n_list", "p_th")
     p.add_argument("--snr-grid", dest="snr_grid", default="0..20",
                    help="comma list or inclusive range a..b (dB), ascending")
-    p.add_argument("--p-th", dest="p_th", type=float, default=None)
-    p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("bench", help="per-estimate throughput for each method")
-    _add_common(p)
-    _add_design_params(p)
-    p.add_argument("--plan", default=None)
-    p.add_argument("--methods", default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
+    p = _subcommand(sub, "bench", _cmd_bench, "per-estimate throughput for each method",
+                    *design, "seed", "methods")
+    p.add_argument("--plan")
+    p.add_argument("--snr-db", dest="snr_db", type=float, default=20.0)
     p.add_argument("--n-obs", dest="n_obs", type=int, default=2000)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Write ``--flag -0.3,0.1`` as ``--flag=-0.3,0.1``.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number, such as a phase list or ``-1e3``, as an unknown flag.
+    """
+    out = []
+    for token in argv:
+        if out and _BARE_FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:
-        config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        _resolve(args, load_config(args.config) if getattr(args, "config", None) else {})
+        return args.func(args)
     except (ConfigError, UnknownEstimatorError) as exc:
         print(f"unwrapkit: error: {exc}", file=sys.stderr)
         return 1

@@ -60,15 +60,6 @@ def wrap_inplace(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def wrap_diff(a, b):
-    """Wrapped difference: wrap_phase(a - b), valid for scalars or arrays."""
-    if isinstance(a, (float, int)) and isinstance(b, (float, int)):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InvalidArgumentError("phase must be finite")
-        return wrap_phase(a - b)
-    return wrap_phase(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-
-
 @dataclass(frozen=True)
 class FrequencyPlan:
     """An ordered set of measurement frequencies plus design metadata.
@@ -175,7 +166,7 @@ def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
 def beat_set(obs: PhaseObservation) -> BeatSet:
     """Form beat phases and beat wavelengths from an observation."""
     lams = beat_wavelengths(obs.plan)
-    phases = wrap_diff(float(obs.phases_rad[0]), obs.phases_rad[1:])
+    phases = wrap_phase(obs.phases_rad[0] - obs.phases_rad[1:])
     phases.setflags(write=False)
     lams.setflags(write=False)
     return BeatSet(beat_phases_rad=phases, beat_wavelengths_m=lams)
@@ -215,4 +206,7 @@ class NoiseSpec:
     def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
         if not math.isfinite(snr_db):
             raise InvalidArgumentError("snr_db must be finite")
-        return cls(sigma_rad=1.0 / math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))
+        try:
+            return cls(sigma_rad=1.0 / math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))
+        except (OverflowError, ZeroDivisionError):
+            raise InvalidArgumentError(f"snr_db {snr_db!r} is out of range") from None

@@ -21,7 +21,7 @@ functions and safe for concurrent use.
 Each stage has one kernel that takes one observation's phases (N,) or a
 row block (B, N). The public estimators compose them on one observation;
 the Monte-Carlo harness runs ``concerto`` and ``bw`` on whole row blocks
-through :func:`block_kernel`, which composes the same kernels on (B, N).
+through their ``BLOCK_KERNELS`` forms, which compose the same kernels on (B, N).
 
 Rounding convention: round-half-away-from-zero, everywhere an integer is
 recovered from a noisy real value. Ties are measure-zero but deterministic.
@@ -622,20 +622,12 @@ register_estimator("bw", bw_estimate)
 register_estimator("concerto", concerto_estimate)
 register_estimator("ef", ef_estimate)
 
-#: Row-block forms of the registered estimators that have one, keyed by the
-#: estimator function.
-_BLOCK_KERNELS = {bw_estimate: _bw_rows, concerto_estimate: _concerto_rows}
-
-
-def block_kernel(fn):
-    """The row-block form of the estimator function ``fn``, or None.
-
-    The kernel maps (plan constants, phases (B, N)) to (l_coarse_m,
-    l_final_m), one (B,) array each, equal to what ``fn`` gives row by row
-    (``l_final_m`` up to the summation order of the final fit's dot product).
-    Only the registered ``concerto`` and ``bw`` functions have one. Any other
-    function, including a wrapper around one of them or a function patched
-    into the registry, has none: the Monte-Carlo harness then calls it on
-    one observation per trial, so a wrapper sees every trial.
-    """
-    return _BLOCK_KERNELS.get(fn)
+#: Row-block forms of estimator functions, keyed by the function. Each kernel
+#: maps (plan constants, phases (B, N)) to (l_coarse_m, l_final_m), one (B,)
+#: array each, equal to what the function gives row by row (``l_final_m`` up
+#: to the summation order of the final fit's dot product). Only the registered
+#: ``concerto`` and ``bw`` functions have one. Any other function, including a
+#: wrapper around one of them or a function patched into the registry, has
+#: none: the Monte-Carlo harness then calls it on one observation per trial,
+#: so a wrapper sees every trial.
+BLOCK_KERNELS = {bw_estimate: _bw_rows, concerto_estimate: _concerto_rows}

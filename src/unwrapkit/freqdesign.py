@@ -99,11 +99,6 @@ def design_bw_plan(
     )
 
 
-def umr(plan: FrequencyPlan) -> float:
-    """Unambiguous measurement range of a plan, c/(f_0 - f_1)."""
-    return plan.umr_m
-
-
 def validate_plan(plan: FrequencyPlan) -> list:
     """Check every plan invariant, returning a list of violation strings.
 

@@ -43,7 +43,7 @@ from .errors import (
     InvalidArgumentError,
     UndefinedBoundError,
 )
-from .estimators import block_kernel, lookup_estimator, plan_constants
+from .estimators import BLOCK_KERNELS, lookup_estimator, plan_constants
 from .freqdesign import design_concerto_plan
 from .theory import crb
 
@@ -236,7 +236,7 @@ def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
     uniform = cfg.truth_policy == "uniform"
     halfwidth = cfg.resolved_halfwidth()
     estimators = {name: lookup_estimator(name) for name in cfg.methods}
-    kernels = {name: block_kernel(fn) for name, fn in estimators.items()}
+    kernels = {name: BLOCK_KERNELS.get(fn) for name, fn in estimators.items()}
 
     truths = np.empty(rows) if uniform else np.full(rows, float(cfg.truth_m))
     if all(kernels.values()):
@@ -398,14 +398,15 @@ def sweep_range(
 
     Designs a fresh plan per K and reports the coarse-failure probability
     of the three-stage estimator. An infeasible K produces a row with the
-    error recorded and no trials; the sweep continues.
+    error recorded and no trials; the sweep continues. Any other invalid
+    input raises.
     """
     report = SimReport()
     noise = NoiseSpec.from_snr_db(snr_db)
     for k in k_list_m:
         try:
             plan = design_concerto_plan(f_high_hz, f_low_hz, n, k, c_m_s)
-        except (InfeasibleDesignError, InvalidArgumentError) as exc:
+        except InfeasibleDesignError as exc:
             report.rows.append(
                 SimRow(sweep_param=float(k), method="concerto", n_trials=0, error=str(exc))
             )

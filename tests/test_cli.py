@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, config precedence, exit codes,
 output determinism."""
 
+import argparse
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unwrapkit import plan_from_csv, true_phases
-from unwrapkit.cli import load_config, main
+from unwrapkit.cli import CONFIG_KEYS, SETTINGS, build_parser, load_config, main
 from unwrapkit.errors import ConfigError
 from unwrapkit.simkit import CSV_HEADER
 
@@ -21,6 +26,31 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: A valid argv tail per subcommand; ``PLAN`` stands for a plan file.
+DESIGN_TAIL = ["--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "8", "--k", "144", "--c", "3e8"]
+BASE_ARGS = {
+    "design": DESIGN_TAIL,
+    "estimate": ["--plan", "PLAN", "--phases", "0.1,-0.2,0.3,0.1,-0.2,0.3,0.1,-0.2"],
+    "crb": ["--plan", "PLAN", "--snr-db", "20"],
+    "simulate": DESIGN_TAIL + ["--snr-db-list", "10", "--methods", "concerto,bw,ef"],
+    "sweep-range": DESIGN_TAIL[:6] + ["--k-list", "1,144"],
+    "threshold": DESIGN_TAIL[:4] + ["--k", "144", "--n-list", "3..5", "--snr-grid", "0..3"],
+    "bench": DESIGN_TAIL,
+}
+
+
+def _subparsers():
+    """{subcommand: its parser} from the real parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+SUBCOMMAND_FLAGS = {
+    name: sorted(o for o in parser._option_string_actions if o not in ("-h", "--help"))
+    for name, parser in _subparsers().items()
+}
 
 
 def test_design_prints_plan(capsys):
@@ -72,6 +102,16 @@ def test_estimate_round_trip(tmp_path, capsys):
     assert abs(float(values["delta_m"])) < 1e-9
     assert values["method"] == "concerto"
     assert values["m_chain"].startswith("0;")
+
+
+def test_estimate_phase_list_starting_negative(tmp_path, capsys):
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
+    phases = ",".join(["-0.3"] + ["0.1"] * 50)
+    joined = _run(capsys, ["estimate", "--plan", str(plan_file), f"--phases={phases}"])
+    split = _run(capsys, ["estimate", "--plan", str(plan_file), "--phases", phases])
+    assert joined[0] == 0
+    assert split == joined
 
 
 def test_crb_subcommand(tmp_path, capsys):
@@ -133,6 +173,75 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     code, out, _ = _run(capsys, ["simulate", "--config", str(cfg), "--trials", "100"])
     assert code == 0
     assert out.strip().split("\n")[1].split(",")[2] == "100"
+
+
+#: A value per settings-table entry, none of them its default.
+SETTING_VALUES = {
+    "f_high": "2.5e9", "f_low": "2.4e9", "n": "8", "k": "144", "c": "3e8",
+    "seed": "3", "trials": "20", "snr_db_list": "10,14", "k_list": "1,1000",
+    "n_list": "8", "methods": "concerto,bw", "truth_policy": "fixed",
+    "truth_m": "1.5", "p_th": "0.2",
+}
+#: Arguments outside the table that keep each run short or complete.
+EXTRA_ARGS = {"crb": ["--snr-db", "20"], "bench": ["--n-obs", "20"],
+              "threshold": ["--snr-grid", "0..30"]}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+@pytest.mark.parametrize("command,dest", [
+    (command, dest)
+    for command, flags in sorted(SUBCOMMAND_FLAGS.items()) if "--config" in flags
+    for dest in SETTINGS if _flag(dest) in flags
+])
+def test_setting_as_flag_or_config_key(tmp_path, capsys, command, dest):
+    argv = [command] + EXTRA_ARGS.get(command, [])
+    for other in SETTINGS:
+        if other != dest and _flag(other) in SUBCOMMAND_FLAGS[command]:
+            argv += [_flag(other), SETTING_VALUES[other]]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{SETTINGS[dest][0]} = {SETTING_VALUES[dest]}\n")
+    code, by_flag, _ = _run(capsys, argv + [_flag(dest), SETTING_VALUES[dest]])
+    assert code == 0
+    code, by_config, _ = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0
+    if command == "bench":  # the last column is a measured rate
+        rate = re.compile(r",[^,\n]*$", flags=re.M)
+        by_flag, by_config = rate.sub("", by_flag), rate.sub("", by_config)
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("design", "--seed"), ("design", "--trials"), ("design", "--quiet"),
+    ("crb", "--seed"), ("crb", "--trials"), ("crb", "--quiet"),
+    ("estimate", "--config"), ("estimate", "--seed"), ("estimate", "--trials"),
+    ("estimate", "--quiet"), ("simulate", "--quiet"), ("sweep-range", "--k"),
+    ("threshold", "--n"), ("threshold", "--quiet"), ("bench", "--trials"),
+    ("bench", "--quiet"),
+])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
+    base = [str(plan_file) if v == "PLAN" else v for v in BASE_ARGS[command]]
+    code, _, err = _run(capsys, [command, *base, flag] + ([] if flag == "--quiet" else ["1"]))
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_readme_lists_every_flag_and_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in readme.splitlines() if line.startswith("| `")
+    ]
+    flags = {row[0].strip("`"): sorted(re.findall(r"`(--[\w-]+)`", row[1]))
+             for row in rows if len(row) == 2}
+    assert flags == SUBCOMMAND_FLAGS
+    keys = {row[0].strip("`"): row[1].strip("`") for row in rows if len(row) == 3}
+    assert keys == {_flag(dest): key for dest, (key, *_) in SETTINGS.items()}
+    assert tuple(keys.values()) == CONFIG_KEYS
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -215,6 +324,37 @@ def test_exit_codes(tmp_path, capsys):
     ])
     assert code == 1
     assert "half-width" in err
+    # an input invalid for every K stops sweep-range; only an infeasible K is a row
+    for bad in (["--c", "0"], ["--n", "2"], ["--f-high", "2.4e9", "--f-low", "2.5e9"]):
+        out_file = tmp_path / "sweep.csv"
+        code, _, err = _run(capsys, [
+            "sweep-range", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",
+            "--k-list", "1,1000", "--trials", "10", "--out", str(out_file), *bad,
+        ])
+        assert code == 2
+        assert "skipped" not in err
+        assert not out_file.exists()
+    # files that are not UTF-8 text
+    latin_cfg = tmp_path / "latin.cfg"
+    latin_cfg.write_bytes(b"n_freq = 8\xff\n")
+    code, _, err = _run(capsys, ["simulate", "--config", str(latin_cfg)])
+    assert code == 1
+    assert "UTF-8" in err
+    latin_plan = tmp_path / "latin.csv"
+    latin_plan.write_bytes(b"index,f_hz,lambda_m\n0,2.5e9\xe9,0.12\n")
+    code, _, err = _run(capsys, ["estimate", "--plan", str(latin_plan), "--phases", "0.0"])
+    assert code == 2
+    assert "UTF-8" in err
+    # non-finite bounds and counts in number lists
+    for argv in (
+        ["simulate", "--n", "8", "--k", "144", "--snr-db-list", "1..1e400"],
+        ["threshold", "--k", "144", "--n-list", "1e400"],
+    ):
+        code, _, err = _run(capsys, argv + [
+            "--f-high", "2.5e9", "--f-low", "2.4e9", "--trials", "10",
+        ])
+        assert code == 1
+        assert "cannot parse number list" in err
 
 
 def test_sweep_range_cli(capsys):
@@ -258,3 +398,90 @@ def test_bench_cli(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- no argv ends in a traceback ---------------------------------------------
+
+#: Values that are wrong for most flags.
+BAD_VALUES = ("-1", "0", "nan", "inf", "-inf", "1e400", "", "5..1", "1..1e400", "x")
+
+#: More values per flag, small enough that any run stays fast: at most 64
+#: frequencies, plans whose ``ef`` scan is short, ranges at most 50 wide.
+#: ``--trials`` and ``--n-obs`` take a value from ``BOUNDED`` only.
+FLAG_VALUES = {
+    "--f-high": ("2.5e9",),
+    "--f-low": ("2.4e9", "2.6e9"),
+    "--n": ("2", "3", "8", "64"),
+    "--k": ("144", "1e3"),
+    "--c": ("3e8",),
+    "--seed": ("7",),
+    "--snr-db-list": ("10", "0..50", "-5,20", "4e3"),
+    "--k-list": ("1,144", "1e3"),
+    "--n-list": ("3..5", "64"),
+    "--methods": ("concerto", "bw", "ef", "concerto,bw,ef", "nope", ","),
+    "--method": ("concerto", "bw", "ef", "nope"),
+    "--truth-policy": ("uniform", "fixed", "other"),
+    "--truth-m": ("1.5", "-2", "1e6"),
+    "--truth-halfwidth": ("10", "1e6"),
+    "--p-th": ("1e-3", "0.5", "1"),
+    "--snr-db": ("20", "-5", "4e3", "-4e3"),
+    "--snr-grid": ("0..3", "20,10", "10..60", "-4e3"),
+    "--pattern": ("concerto", "bw"),
+    "--phases": ("0.1,-0.2,0.3,0.1,-0.2,0.3,0.1,-0.2", "-0.3,0.1", "4.0", "0.1,,0.2"),
+}
+BOUNDED = {"--trials": ("5", "20", "1", "-1", "nan"), "--n-obs": ("5", "1", "0", "-1")}
+
+
+@settings(
+    max_examples=1000,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_no_argv_ends_in_a_traceback(tmp_path, data):
+    # A valid argv with at most one base flag dropped and up to two flags
+    # added, from the subcommand's own flags and one it does not have.
+    files = tmp_path / "files"
+    if not files.exists():  # tmp_path is shared by every example
+        files.mkdir()
+        main(["design", *DESIGN_TAIL, "--out", str(files / "plan.csv")])
+        (files / "latin.csv").write_bytes(b"index,f_hz,lambda_m\n0,2.5e9\xe9,0.12\n")
+        (files / "bad.csv").write_text("index,f_hz,lambda_m\n0,abc,0.12\n")
+        (files / "good.cfg").write_text(
+            "f_high_hz = 2.5e9\nf_low_hz = 2.4e9\nn_freq = 8\nrange_k_m = 144\n"
+            "c_m_s = 3e8\nseed = 1\nsnr_db_list = 10\nk_list_m = 144\nn_list = 8\n"
+            "methods = concerto,bw\np_threshold = 0.01\n"
+        )
+        (files / "latin.cfg").write_bytes(b"n_freq = 8\xff\n")
+        (files / "unknown.cfg").write_text("foo = 1\n")
+        (files / "values.cfg").write_text("n_freq = nan\nrange_k_m = 1e400\nk_list_m = 5..1\n")
+    paths = {
+        "--plan": ("plan.csv", "latin.csv", "bad.csv", "missing.csv"),
+        "--config": ("good.cfg", "latin.cfg", "unknown.cfg", "values.cfg", "missing.cfg"),
+        "--out": ("out.csv", "."),
+    }
+    command = data.draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS) + ["nope"]), "command")
+    own = SUBCOMMAND_FLAGS.get(command, [])
+    argv = [command]
+    tail = BASE_ARGS.get(command, [])
+    base = dict(zip(tail[::2], tail[1::2]))
+    dropped = data.draw(st.sampled_from(["", "", ""] + sorted(base)), "dropped")
+    for flag, value in base.items():
+        if flag != dropped:
+            argv += [flag, str(files / "plan.csv") if value == "PLAN" else value]
+    pool = [f for f in own if f not in BOUNDED] + ["--bogus"]
+    for flag in data.draw(st.lists(st.sampled_from(pool), max_size=2), "flags"):
+        argv.append(flag)
+        if flag in paths:
+            argv.append(data.draw(st.sampled_from([str(files / n) for n in paths[flag]]), flag))
+        elif flag not in ("--quiet", "--bogus"):
+            values = st.sampled_from(BAD_VALUES)
+            if flag in FLAG_VALUES:
+                values = st.sampled_from(FLAG_VALUES[flag]) | values
+            argv.append(data.draw(values, flag))
+    for flag, choices in BOUNDED.items():
+        if flag in own:
+            argv += [flag, data.draw(st.sampled_from(choices), flag)]
+    assert main(argv) in (0, 1, 2, 3)

@@ -14,7 +14,6 @@ from unwrapkit import (
     beat_set,
     design_concerto_plan,
     true_phases,
-    wrap_diff,
     wrap_phase,
 )
 
@@ -73,20 +72,23 @@ def test_wrap_scalar_type():
     assert isinstance(wrap_phase(np.float64(1.0)), float)
 
 
-# -- wrap_diff --------------------------------------------------------------
+# -- wrapped differences ----------------------------------------------------
 
 def test_wrap_diff_examples():
-    assert wrap_diff(PI, -PI / 2) == pytest.approx(-PI / 2, abs=1e-15)
+    assert wrap_phase(PI - (-PI / 2)) == pytest.approx(-PI / 2, abs=1e-15)
     for x in (0.0, 1.3, -2.9, PI):
-        assert wrap_diff(x, x) == 0.0
-    assert wrap_diff(0.1, -0.1) == pytest.approx(0.2, abs=1e-15)
+        assert wrap_phase(x - x) == 0.0
+    assert wrap_phase(0.1 - (-0.1)) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_wrap_diff_matches_wrap_of_difference():
+    # The wrapped difference of two arrays equals the scalar one element by element.
     rng = np.random.default_rng(11)
     a = rng.uniform(-50, 50, size=20_000)
     b = rng.uniform(-50, 50, size=20_000)
-    assert np.array_equal(wrap_diff(a, b), wrap_phase(a - b))
+    assert np.array_equal(
+        wrap_phase(a - b), [wrap_phase(float(x) - float(y)) for x, y in zip(a, b)]
+    )
 
 
 # -- FrequencyPlan ----------------------------------------------------------
@@ -209,3 +211,7 @@ def test_noise_spec_examples():
         NoiseSpec(-0.1)
     with pytest.raises(InvalidArgumentError):
         NoiseSpec(math.nan)
+    # 10^(snr/10) overflows above about 3082 dB and is 0 below about -3240 dB
+    for snr_db in (4000.0, -4000.0):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            NoiseSpec.from_snr_db(snr_db)

@@ -13,7 +13,6 @@ from unwrapkit import (
     design_concerto_plan,
     plan_from_csv,
     plan_to_csv,
-    umr,
     validate_plan,
 )
 
@@ -25,7 +24,7 @@ def test_ratio_matches_published_operating_point():
     plan = design_concerto_plan(2500e6, 2400e6, 51, 144.0, C)
     assert plan.ratio == pytest.approx(48.0 ** (1.0 / 49.0), rel=1e-12)
     assert round(plan.ratio, 4) == 1.0822
-    assert umr(plan) == pytest.approx(144.0, rel=1e-9)
+    assert plan.umr_m == pytest.approx(144.0, rel=1e-9)
 
 
 def test_published_wavelength_sets_regenerate():
@@ -39,7 +38,7 @@ def test_published_wavelength_sets_regenerate():
         # agreement at the fourth decimal place (one unit in the last digit)
         diffs = [abs(got - pub) for got, pub in zip(plan.wavelengths_m, lams)]
         assert max(diffs) < 1e-4, (n, diffs)
-        assert umr(plan) == pytest.approx(1e4, rel=1e-9)
+        assert plan.umr_m == pytest.approx(1e4, rel=1e-9)
 
 
 def test_concerto_ratio_chain_equal():
@@ -56,8 +55,8 @@ def test_concerto_umr_identity_and_r_above_one():
         kk = max(k, 1.5 * C / b)
         plan = design_concerto_plan(2500e6, 2400e6, n, kk, C)
         assert plan.ratio > 1.0
-        assert umr(plan) == pytest.approx((C / b) * plan.ratio ** (n - 2), rel=1e-9)
-        assert umr(plan) / kk == pytest.approx(1.0, abs=1e-9)
+        assert plan.umr_m == pytest.approx((C / b) * plan.ratio ** (n - 2), rel=1e-9)
+        assert plan.umr_m / kk == pytest.approx(1.0, abs=1e-9)
 
 
 def test_design_monotone_in_n():
@@ -91,7 +90,7 @@ def test_bw_design_closed_form():
     assert plan.ratio == 25.0
     assert plan.freqs_hz[1] == pytest.approx(2496e6, rel=1e-12)
     assert plan.freqs_hz[2] == pytest.approx(2400e6, rel=1e-12)
-    assert umr(plan) == pytest.approx(75.0, rel=1e-9)
+    assert plan.umr_m == pytest.approx(75.0, rel=1e-9)
     assert validate_plan(plan) == []
 
 
