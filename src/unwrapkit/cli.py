@@ -133,6 +133,10 @@ def _require(args, *dests) -> None:
             raise ConfigError(f"missing required key {key!r} (flag or config file)")
 
 
+#: Most points an 'a..b' list range may hold; checked before the list is built.
+MAX_RANGE_POINTS = 10_000
+
+
 def _parse_list(text: str, convert=float) -> list:
     """Comma list of numbers, or an inclusive integer range 'a..b'."""
     text = text.strip()
@@ -142,6 +146,10 @@ def _parse_list(text: str, convert=float) -> list:
             lo_i, hi_i = int(float(lo)), int(float(hi))
             if hi_i < lo_i:
                 raise ConfigError(f"empty range {text!r}")
+            if hi_i - lo_i + 1 > MAX_RANGE_POINTS:
+                raise ConfigError(
+                    f"range {text!r} has {hi_i - lo_i + 1} points, more than {MAX_RANGE_POINTS}"
+                )
             return [convert(v) for v in range(lo_i, hi_i + 1)]
         return [convert(float(part)) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError) as exc:

@@ -4,14 +4,20 @@ frequency count N via an SNR-threshold scan).
 
 Determinism contract
 --------------------
-Each trial t derives its own substream seed from (master seed, t) through
-splitmix64, a documented 64-bit avalanche mixer, then draws from an
-independent numpy Generator: the uniform truth first (uniform policy), then
-N standard normals (sigma > 0). Trials are aggregated in fixed-size chunks
-whose partial sums are merged in chunk order, so results are identical
-bytes regardless of how many workers execute the chunks. The Gaussian
-sampling contract is distributional (not bit-compatible across numpy
-versions or other implementations).
+Trial t of a batch with master seed s draws from the stream
+``np.random.default_rng(mix_seed(s, t))``, where :func:`mix_seed` is
+splitmix64, a documented 64-bit avalanche mixer: the uniform truth first
+(uniform policy), then N standard normals (sigma > 0). Each row block seeds
+its trials' streams in one pass: splitmix64, numpy's ``SeedSequence`` hash
+and the PCG64 seeding run over the whole block as array arithmetic, and
+each trial's state is loaded into one reused generator, so every draw is
+the one ``default_rng(mix_seed(s, t))`` makes. The tests check that
+seeding against numpy's own, so a numpy release that seeds ``default_rng``
+otherwise fails them instead of moving results. Trials are aggregated in
+fixed-size chunks whose partial sums are merged in chunk order, so results
+are identical bytes regardless of how many workers execute the chunks.
+The Gaussian draws are numpy's; they are not bit-compatible with other
+implementations.
 
 Evaluation: a chunk is drawn, synthesized and estimated in row blocks of
 ``BLOCK_ROWS`` trials, one (B, N) array per block. ``concerto`` and ``bw``
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -47,8 +54,19 @@ from .estimators import BLOCK_KERNELS, lookup_estimator, plan_constants
 from .freqdesign import design_concerto_plan
 from .theory import crb
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (O'Neill, "PCG", 2014); _trial_streams reproduces the seeding
+# np.random.default_rng(seed) performs.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 #: Trials per aggregation chunk; fixed so that results never depend on the
 #: worker count.
@@ -66,12 +84,62 @@ CSV_HEADER = (
 )
 
 
-def mix_seed(seed: int, index: int) -> int:
-    """splitmix64 avalanche of (seed + index * golden gamma); 64-bit."""
-    z = (seed + index * _GOLDEN64) & _MASK64
+def mix_seed(seed: int, index):
+    """splitmix64 avalanche of (seed + index * golden gamma); 64-bit.
+
+    ``index`` is an int, or a uint64 array whose wrapping arithmetic gives
+    the same value for each element.
+    """
+    z = ((seed & _MASK64) + index * _GOLDEN64) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _trial_streams(seeds: np.ndarray):
+    """Yield ``np.random.default_rng(s)`` for each uint64 seed s in turn.
+
+    ``default_rng(s)`` is ``PCG64(SeedSequence(s))``. ``SeedSequence`` hashes
+    the seed's 32-bit words into a pool of four (a seed below 2**64 has at
+    most two words, and a missing high word hashes like the pool's zero
+    padding), and ``generate_state(4, uint64)`` hashes the pool into the
+    PCG64 seed and increment; both run here as uint32 array recurrences
+    over all seeds at once. PCG64 then takes two 128-bit LCG steps. Each
+    state is loaded into one reused generator, so the same object is
+    yielded every time: draw from it before asking for the next.
+    """
+    def hasher(hash_const, mult):
+        # numpy's hashmix: the multiplier advances with every word hashed
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * mult & _MASK32
+            value *= np.uint32(hash_const)
+            value ^= value >> _XSHIFT
+            return value
+
+        return hashmix
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    words = seeds.astype("<u8").view("<u4").reshape(-1, 2)
+    zero = np.zeros(len(words), np.uint32)
+    pool = [hashmix(words[:, 0]), hashmix(words[:, 1]), hashmix(zero), hashmix(zero)]
+    for src, dst in permutations(range(4), 2):
+        mixed = pool[dst] * np.uint32(_MIX_MULT_L) - hashmix(pool[src]) * np.uint32(_MIX_MULT_R)
+        mixed ^= mixed >> _XSHIFT
+        pool[dst] = mixed
+    generate = hasher(_INIT_B, _MULT_B)
+    state = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1).astype("<u4", copy=False)
+
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    loaded = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    for high, low, inc_high, inc_low in state.view("<u8").tolist():
+        inc = ((inc_high << 65) | (inc_low << 1) | 1) & _MASK128
+        pcg_state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
+        loaded["state"] = {"state": pcg_state, "inc": inc}
+        bit_generator.state = loaded
+        yield rng
 
 
 def _synthesize_block(plan: FrequencyPlan, truths: np.ndarray, sigma: float, draws) -> np.ndarray:
@@ -114,8 +182,9 @@ class TrialConfig:
     ``truth_policy`` is "uniform" (range drawn uniformly over
     +/- truth_halfwidth_m, default K/2) or "fixed" (every trial at
     ``truth_m``). An explicit half-width must be finite, positive and at
-    most UMR/2 (with the relative tolerance ``ef_estimate`` allows its
-    search range), since no estimator can place a truth beyond it.
+    most UMR/2, and a fixed truth finite with magnitude at most UMR/2 (both
+    with the relative tolerance ``ef_estimate`` allows its search range),
+    since no estimator can place a truth beyond it.
     """
 
     plan: FrequencyPlan
@@ -138,18 +207,25 @@ class TrialConfig:
             raise ConfigError(f"unknown truth_policy {self.truth_policy!r}")
         if self.truth_policy == "fixed" and self.truth_m is None:
             raise ConfigError("fixed truth policy needs truth_m")
-        if self.truth_m is not None and not math.isfinite(self.truth_m):
-            raise ConfigError(f"truth_m must be finite, got {self.truth_m!r}")
+        half_umr = self.plan.umr_m / 2.0
+        if self.truth_m is not None:
+            if not math.isfinite(self.truth_m):
+                raise ConfigError(f"truth_m must be finite, got {self.truth_m!r}")
+            if abs(self.truth_m) > half_umr * (1.0 + 1e-9):
+                raise ConfigError(
+                    f"truth_m {self.truth_m!r} m lies beyond half the unambiguous "
+                    f"range, {half_umr!r} m"
+                )
         halfwidth = self.truth_halfwidth_m
         if halfwidth is not None:
             if not (math.isfinite(halfwidth) and halfwidth > 0.0):
                 raise ConfigError(
                     f"truth half-width must be finite and positive, got {halfwidth!r}"
                 )
-            if halfwidth > self.plan.umr_m / 2.0 * (1.0 + 1e-9):
+            if halfwidth > half_umr * (1.0 + 1e-9):
                 raise ConfigError(
                     f"truth half-width {halfwidth!r} m exceeds half the unambiguous "
-                    f"range, {self.plan.umr_m / 2.0!r} m"
+                    f"range, {half_umr!r} m"
                 )
 
     def resolved_halfwidth(self) -> float:
@@ -245,8 +321,8 @@ def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
     else:
         observations = []
         phases = np.empty((rows, plan.n))
-    for i in range(rows):
-        rng = np.random.default_rng(mix_seed(cfg.seed, start + i))
+    seeds = mix_seed(cfg.seed, np.arange(start, stop, dtype=np.uint64))
+    for i, rng in enumerate(_trial_streams(seeds)):
         if uniform:
             truths[i] = rng.uniform(-halfwidth, halfwidth)
         if observations is not None:

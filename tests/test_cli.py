@@ -4,6 +4,7 @@ output determinism."""
 import argparse
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,25 @@ def test_exit_codes(tmp_path, capsys):
     ])
     assert code == 1
     assert "half-width" in err
+    # so would a fixed truth beyond UMR/2 (an 8-frequency, K = 144 m plan)
+    code, out, err = _run(capsys, [
+        "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "8",
+        "--k", "144", "--c", "3e8", "--methods", "concerto,bw",
+        "--snr-db-list", "30", "--trials", "20",
+        "--truth-policy", "fixed", "--truth-m", "1e6",
+    ])
+    assert code == 1
+    assert "truth_m 1000000.0 m lies beyond half the unambiguous range" in err
+    assert out == ""
+    # a range list is bounded before it is built
+    start = time.perf_counter()
+    code, out, err = _run(capsys, [
+        "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "8",
+        "--k", "144", "--c", "3e8", "--snr-db-list", "0..1e9", "--trials", "5",
+    ])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "range '0..1e9' has 1000000001 points, more than 10000" in err
     # an input invalid for every K stops sweep-range; only an infeasible K is a row
     for bad in (["--c", "0"], ["--n", "2"], ["--f-high", "2.4e9", "--f-low", "2.5e9"]):
         out_file = tmp_path / "sweep.csv"

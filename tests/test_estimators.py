@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unwrapkit import (
     DegeneratePlanError,
@@ -43,6 +45,7 @@ from unwrapkit import (
     true_phases,
     wrap_phase,
 )
+from unwrapkit.estimators import _bw_rows, _concerto_rows, plan_constants
 
 C = 3e8
 TWO_PI = 2.0 * math.pi
@@ -469,3 +472,34 @@ def test_registry_unknown_and_duplicate():
         lookup_estimator("dcrt")
     with pytest.raises(DuplicateEstimatorError):
         register_estimator("concerto", concerto_estimate)
+
+
+# -- row-block kernels against the scalar estimators --------------------------
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(3, 51),
+    k_log=st.floats(math.log(36.0), math.log(14_400.0)),
+    snr_db=st.one_of(st.none(), st.floats(-5.0, 80.0)),
+    truths=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_block_kernels_match_scalar_estimators(n, k_log, snr_db, truths, seed):
+    # The row-block kernels run the scalar stages on (B, N); only the final
+    # fit's dot product sums in another order (gemv against ddot), so
+    # l_final may move by a few ulps of K, and nothing else may move.
+    k_m = math.exp(k_log)
+    plan = design_concerto_plan(2500e6, 2400e6, n, k_m, C)
+    sigma = 0.0 if snr_db is None else NoiseSpec.from_snr_db(snr_db).sigma_rad
+    l_true = np.array(truths) * k_m
+    lam = np.array(plan.wavelengths_m)
+    noise = sigma * np.random.default_rng(seed).standard_normal((l_true.size, n))
+    phases = wrap_phase(TWO_PI * l_true[:, None] / lam + noise)
+    bound = 4.0 * np.finfo(float).eps * k_m
+    for rows, estimate in ((_concerto_rows, concerto_estimate), (_bw_rows, bw_estimate)):
+        l_coarse, l_final = rows(plan_constants(plan), phases)
+        for i, row in enumerate(phases):
+            trace = estimate(PhaseObservation(phases_rad=row, plan=plan))
+            assert l_coarse[i] == trace.l_coarse_m
+            assert abs(l_final[i] - trace.l_final_m) <= bound

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unwrapkit import (
     ConfigError,
@@ -68,6 +70,20 @@ def test_mix_seed_is_stable_and_spread():
     values = {mix_seed(42, t) for t in range(10_000)}
     assert len(values) == 10_000
     assert all(0 <= v < 2**64 for v in values)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_block_seeding_matches_default_rng(drawn):
+    # The one-pass block seeding must give exactly default_rng's streams;
+    # a numpy release that seeds PCG64 or SeedSequence otherwise fails here.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + drawn
+    streams = simkit._trial_streams(np.array(seeds, dtype=np.uint64))
+    for seed, rng in zip(seeds, streams, strict=True):
+        assert rng.bit_generator.state == np.random.PCG64(seed).state, seed
+        reference = np.random.default_rng(seed)
+        assert rng.uniform(-36.0, 36.0) == reference.uniform(-36.0, 36.0)
+        np.testing.assert_array_equal(rng.standard_normal(51), reference.standard_normal(51))
 
 
 def test_run_trials_noiseless_exact():
@@ -136,6 +152,13 @@ def test_truth_config_validation():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match="truth_m"):
             TrialConfig(**base, truth_policy="fixed", truth_m=bad)
+    # a fixed truth beyond UMR/2 is as meaningless as such a half-width
+    half_umr = PLAN.umr_m / 2.0
+    for bad in (1e6, -1e6, half_umr * (1.0 + 1e-8), -half_umr * (1.0 + 1e-8)):
+        with pytest.raises(ConfigError, match="truth_m .* beyond half the unambiguous range"):
+            TrialConfig(**base, truth_policy="fixed", truth_m=bad)
+    for truth in (half_umr, -half_umr, half_umr * (1.0 + 1e-12), 0.0):
+        assert TrialConfig(**base, truth_policy="fixed", truth_m=truth).truth_m == truth
 
 
 def test_fixed_truth_policy():
