@@ -7,6 +7,11 @@ Output goes to standard output, or byte-identically to the file named by
 ``--out``. All tables are plain comma-separated text with a dot decimal
 point; plan files written by ``design`` are accepted back by every
 subcommand that takes ``--plan``.
+
+Every subcommand is one entry of ``SUBCOMMANDS``. ``main`` builds the parser
+of only the subcommand its first argument names, which parses and prints as
+the parser of all seven does; with no argument, a top-level flag or an
+unknown name it builds all seven.
 """
 
 from __future__ import annotations
@@ -272,8 +277,11 @@ def _cmd_bench(args):
     if args.n_obs < 1:
         raise ConfigError(f"--n-obs must be >= 1, got {args.n_obs}")
     plan = _plan_for(args)
+    budget = plan.range_budget_m or plan.umr_m
+    if not math.isfinite(budget):
+        raise ConfigError("bench draws uniform truths and needs a finite range budget")
     noise = NoiseSpec.from_snr_db(args.snr_db)
-    halfwidth = (plan.range_budget_m or plan.umr_m) / 4.0
+    halfwidth = budget / 4.0
     observations = []
     for t in range(args.n_obs):
         rng = np.random.default_rng(mix_seed(args.seed, t))
@@ -295,63 +303,83 @@ def _cmd_bench(args):
     return 0
 
 
-def _subcommand(sub, name, func, help_text, *settings, config=True):
-    """A subcommand parser with ``--config``, ``--out`` and the named settings."""
-    p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-    p.set_defaults(func=func)
-    if config:
-        p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--out", help="write output to this file instead of stdout")
-    for dest in settings:
-        _, convert, _, help_setting = SETTINGS[dest]
-        p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert, help=help_setting)
-    return p
+_DESIGN = ("f_high", "f_low", "n", "k", "c")
+
+#: Every subcommand: name -> (handler, help, the ``SETTINGS`` entries it
+#: reads, whether it reads ``--config``, its other arguments as (flag,
+#: ``add_argument`` keywords)). Its parser takes ``--config``, ``--out``, a
+#: flag per setting and then the other arguments, in that order.
+SUBCOMMANDS = {
+    "design": (
+        _cmd_design, "design a frequency plan and print it as CSV", _DESIGN, True, (
+            ("--pattern", {"choices": ("concerto", "bw"), "default": "concerto"}),
+        )),
+    "estimate": (
+        _cmd_estimate, "run one estimator on a phase list", ("truth_m",), False, (
+            ("--plan", {"required": True, "help": "plan CSV file (design output)"}),
+            ("--phases", {"required": True, "help": "comma-separated wrapped phases (rad)"}),
+            ("--method", {"default": "concerto"}),
+        )),
+    "crb": (
+        _cmd_crb, "print the range CRB for a plan and SNR", _DESIGN, True, (
+            ("--plan", {}),
+            ("--snr-db", {"type": float, "required": True}),
+        )),
+    "simulate": (
+        _cmd_simulate, "Monte-Carlo SNR sweep, CSV per (method, SNR)",
+        _DESIGN + ("seed", "trials", "methods", "snr_db_list", "truth_policy", "truth_m"), True, (
+            ("--plan", {}),
+            ("--truth-halfwidth", {"type": float}),
+        )),
+    "sweep-range": (
+        _cmd_sweep_range, "coarse-stage failure probability versus K",
+        ("f_high", "f_low", "n", "c", "seed", "trials", "k_list"), True, (
+            ("--snr-db", {"type": float, "default": 5.0}),
+            ("--quiet", {"action": "store_true", "help": "no note for a skipped K"}),
+        )),
+    "threshold": (
+        _cmd_threshold, "SNR threshold scan versus frequency count",
+        ("f_high", "f_low", "k", "c", "seed", "trials", "n_list", "p_th"), True, (
+            ("--snr-grid", {"default": "0..20",
+                            "help": "comma list or inclusive range a..b (dB), ascending"}),
+        )),
+    "bench": (
+        _cmd_bench, "per-estimate throughput for each method",
+        _DESIGN + ("seed", "methods"), True, (
+            ("--plan", {}),
+            ("--snr-db", {"type": float, "default": 20.0}),
+            ("--n-obs", {"type": int, "default": 2000}),
+        )),
+}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="unwrapkit", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    design = ("f_high", "f_low", "n", "k", "c")
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or only of ``command`` if it names one.
 
-    p = _subcommand(sub, "design", _cmd_design, "design a frequency plan and print it as CSV",
-                    *design)
-    p.add_argument("--pattern", choices=("concerto", "bw"), default="concerto")
-
-    p = _subcommand(sub, "estimate", _cmd_estimate, "run one estimator on a phase list",
-                    "truth_m", config=False)
-    p.add_argument("--plan", required=True, help="plan CSV file (design output)")
-    p.add_argument("--phases", required=True, help="comma-separated wrapped phases (rad)")
-    p.add_argument("--method", default="concerto")
-
-    p = _subcommand(sub, "crb", _cmd_crb, "print the range CRB for a plan and SNR", *design)
-    p.add_argument("--plan")
-    p.add_argument("--snr-db", dest="snr_db", type=float, required=True)
-
-    p = _subcommand(sub, "simulate", _cmd_simulate,
-                    "Monte-Carlo SNR sweep, CSV per (method, SNR)",
-                    *design, "seed", "trials", "methods", "snr_db_list", "truth_policy",
-                    "truth_m")
-    p.add_argument("--plan")
-    p.add_argument("--truth-halfwidth", dest="truth_halfwidth", type=float)
-
-    p = _subcommand(sub, "sweep-range", _cmd_sweep_range,
-                    "coarse-stage failure probability versus K",
-                    "f_high", "f_low", "n", "c", "seed", "trials", "k_list")
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=5.0)
-    p.add_argument("--quiet", action="store_true", help="no note for a skipped K")
-
-    p = _subcommand(sub, "threshold", _cmd_threshold,
-                    "SNR threshold scan versus frequency count",
-                    "f_high", "f_low", "k", "c", "seed", "trials", "n_list", "p_th")
-    p.add_argument("--snr-grid", dest="snr_grid", default="0..20",
-                   help="comma list or inclusive range a..b (dB), ascending")
-
-    p = _subcommand(sub, "bench", _cmd_bench, "per-estimate throughput for each method",
-                    *design, "seed", "methods")
-    p.add_argument("--plan")
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=20.0)
-    p.add_argument("--n-obs", dest="n_obs", type=int, default=2000)
-
+    A one-command parser reads its command's argv as the full parser does.
+    Its usage line still lists every subcommand; the full parser leaves that
+    metavar unset, as its 'required' and 'invalid choice' errors name the
+    subcommand argument by it.
+    """
+    one = command in SUBCOMMANDS
+    # --help shows the docstring without its last paragraph, on the build
+    description = __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="unwrapkit", description=description, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None)
+    for name in (command,) if one else SUBCOMMANDS:
+        func, help_text, settings, config, extra = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if config:
+            p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        for dest in settings:
+            _, convert, _, help_setting = SETTINGS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=convert,
+                           help=help_setting)
+        for flag, options in extra:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -371,9 +399,9 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class EstimateTrace:
     computed. ``delta_m`` is filled when the observation carried its truth.
     ``m_chain`` and ``fold_ints`` read as tuples of ints; they may be handed
     over as any sequence of integer values, and the tuple is built when the
-    field is first read.
+    field is first read. ``m_chain`` may also be handed over as a function of
+    no arguments that returns that sequence; it is called on the first read.
     """
 
     __slots__ = (
@@ -106,8 +107,11 @@ class EstimateTrace:
 
     @property
     def m_chain(self) -> tuple:
-        if type(self._m_chain) is not tuple:
-            object.__setattr__(self, "_m_chain", _int_tuple(self._m_chain))
+        m_chain = self._m_chain
+        if type(m_chain) is not tuple:
+            if callable(m_chain):
+                m_chain = m_chain()
+            object.__setattr__(self, "_m_chain", _int_tuple(m_chain))
         return self._m_chain
 
     @property
@@ -522,6 +526,13 @@ def _ef_scratch(cols: int):
     return cached
 
 
+def _ef_chain(k: PlanConstants, phases: np.ndarray, l_final: float) -> np.ndarray:
+    """Beat-chain analogue implied by an ``ef`` final range, for the trace."""
+    bp = wrap_inplace(phases[0] - phases[1:])
+    bp *= _INV_TWO_PI
+    return _round_half_away_arr(l_final / k.beat_lam - bp)
+
+
 def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrace:
     """Excess-fractions estimate over the search range ``k_m``.
 
@@ -575,13 +586,9 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     fold = _fold(k, l_cand_best, phase_turns)
     l_final = float(_fit(k, fold, phase_turns))
 
-    # Beat-chain analogue implied by the final range, for trace completeness.
-    bp = wrap_inplace(phases[0] - phases[1:])
-    bp *= _INV_TWO_PI
-    m_chain = _round_half_away_arr(l_final / k.beat_lam - bp)
     return EstimateTrace(
         method="ef",
-        m_chain=m_chain,
+        m_chain=partial(_ef_chain, k, phases, l_final),
         l_coarse_m=l_cand_best,
         l_residual_m=0.0,
         l_mid_m=l_cand_best + 0.0,

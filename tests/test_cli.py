@@ -12,8 +12,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unwrapkit import plan_from_csv, true_phases
-from unwrapkit.cli import CONFIG_KEYS, SETTINGS, build_parser, load_config, main
+from unwrapkit import FrequencyPlan, plan_from_csv, plan_to_csv, true_phases
+from unwrapkit.cli import (
+    CONFIG_KEYS,
+    SETTINGS,
+    SUBCOMMANDS,
+    _attach_negative_values,
+    build_parser,
+    load_config,
+    main,
+)
 from unwrapkit.errors import ConfigError
 from unwrapkit.simkit import CSV_HEADER
 
@@ -231,6 +239,50 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, comm
     assert f"unrecognized arguments: {flag}" in err
 
 
+def _parse(parser, argv, capsys):
+    """The namespace or exit code of parsing ``argv``, with what it printed."""
+    try:
+        result = vars(parser.parse_args(_attach_negative_values(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_one_command_parser_reads_argv_as_the_full_parser(capsys):
+    full = build_parser()
+    argvs = [
+        DESIGN_ARGS, DESIGN_ARGS + ["--pattern", "bw", "--bogus"],
+        ["estimate", "--plan", "p.csv", "--phases", "-0.3,0.1", "--method", "ef",
+         "--truth-m", "-1"],
+        ["estimate", "--plan", "p.csv", "--phases=-0.3,0.1", "-0.2"],
+        ["estimate", "--phases", "0.1"], ["design", "estimate"], ["design", "--pat", "bw"],
+        ["simulate", "--truth-halfwidth", "36", "--plan", "p.csv"], ["sweep-range", "--quiet"],
+        ["bench", "--n-obs", "x"],
+    ]
+    for command in SUBCOMMANDS:
+        tail = [v for flag in SUBCOMMAND_FLAGS[command] if flag != "--quiet"
+                for v in (flag, SETTING_VALUES.get(flag[2:].replace("-", "_"), "1"))]
+        argvs += [[command, *BASE_ARGS[command]], [command, *tail], [command, "--quiet", "1"],
+                  [command, *BASE_ARGS[command], "--bogus"], [command, "-h"]]
+    for argv in argvs:
+        assert _parse(build_parser(argv[0]), argv, capsys) == _parse(full, argv, capsys), argv
+    # every subcommand's help text and the top-level usage line
+    for command, parser in _subparsers().items():
+        one = build_parser(command)
+        sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [command]
+        assert sub.choices[command].format_help() == parser.format_help()
+        assert one.format_usage() == full.format_usage()
+    code, _, err = _run(capsys, ["design", "--bogus"])
+    assert code == 1
+    assert err.splitlines()[:3] == [
+        "usage: unwrapkit [-h]",
+        "                 {design,estimate,crb,simulate,sweep-range,threshold,bench}",
+        "                 ...",
+    ]
+
+
 def test_readme_lists_every_flag_and_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = [
@@ -317,6 +369,13 @@ def test_exit_codes(tmp_path, capsys):
     ])
     assert code == 1
     assert "--n-obs" in err
+    # bench draws truths over the range budget, infinite for one frequency
+    one = tmp_path / "one.csv"
+    one.write_text(plan_to_csv(FrequencyPlan((2.4e9,))))
+    code, out, err = _run(capsys, ["bench", "--plan", str(one), "--n-obs", "5"])
+    assert code == 1
+    assert "bench draws uniform truths and needs a finite range budget" in err
+    assert out == ""
     # a truth half-width beyond UMR/2 would give a meaningless MSE
     code, _, err = _run(capsys, [
         "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unwrapkit import (
     BeatSet,
@@ -20,6 +22,10 @@ from unwrapkit import (
 PI = math.pi
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
 # -- wrap_phase -------------------------------------------------------------
 
 def test_wrap_identity_and_boundary():
@@ -28,6 +34,11 @@ def test_wrap_identity_and_boundary():
     assert wrap_phase(3 * PI) == PI
     assert wrap_phase(-PI) == PI
     assert wrap_phase(PI) == PI
+    # on both paths, bit for bit; a zero keeps the sign of its input
+    for x, want in ((PI, PI), (-PI, PI), (3 * PI, PI), (-3 * PI, PI),
+                    (0.0, 0.0), (2 * PI, 0.0), (-0.0, -0.0), (-2 * PI, -0.0)):
+        assert _bits(wrap_phase(x)) == _bits(want)
+        assert _bits(wrap_phase(np.array([x]))) == _bits([want])
 
 
 def test_wrap_range_and_idempotence():
@@ -70,6 +81,30 @@ def test_wrap_rejects_non_finite():
 def test_wrap_scalar_type():
     assert isinstance(wrap_phase(1.0), float)
     assert isinstance(wrap_phase(np.float64(1.0)), float)
+
+
+#: Angles on and next to the (-pi, pi] boundary and its multiples, where the
+#: convention decides the result.
+_EDGE_ANGLES = st.sampled_from([s * k * PI for k in (0, 1, 2, 3) for s in (1.0, -1.0)]).flatmap(
+    lambda x: st.sampled_from([x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)])
+)
+_ANGLES = st.one_of(
+    _EDGE_ANGLES,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, x: 2.0 * PI * k + x,
+              st.integers(-10**6, 10**6), st.floats(-PI, PI)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(_ANGLES, min_size=1, max_size=8))
+def test_wrap_convention_property(xs):
+    scalar = [wrap_phase(x) for x in xs]
+    for r in scalar:
+        assert -PI < r <= PI
+    # the array path and the scalar path agree bit for bit, signed zeros included
+    assert np.array_equal(_bits(wrap_phase(np.array(xs))), _bits(scalar))
+    assert np.array_equal(_bits([wrap_phase(r) for r in scalar]), _bits(scalar))
 
 
 # -- wrapped differences ----------------------------------------------------

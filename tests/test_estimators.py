@@ -38,10 +38,12 @@ from unwrapkit import (
     fold_integers,
     lookup_estimator,
     ls_refine,
+    mix_seed,
     register_estimator,
     registered_estimators,
     residual_estimate,
     sigma_e,
+    synthesize_observation,
     true_phases,
     wrap_phase,
 )
@@ -457,6 +459,34 @@ def test_ef_noiseless_and_bounds():
         ef_estimate(true_phases(0.0, PLAN51), k_m=2 * PLAN51.umr_m)
     with pytest.raises(InvalidArgumentError):
         ef_estimate(true_phases(0.0, PLAN51), k_m=-1.0)
+
+
+def _eager_ef_chain(obs, l_final):
+    """``ef``'s beat-chain analogue, computed as every ``ef`` call once did."""
+    phases = obs.phases_rad
+    beat_turns = wrap_phase(phases[0] - phases[1:]) * (1 / TWO_PI)
+    v = l_final / plan_constants(obs.plan).beat_lam - beat_turns
+    return tuple(int(m) for m in np.copysign(np.floor(np.abs(v) + 0.5), v))
+
+
+def test_ef_m_chain_is_computed_on_first_read():
+    # Criterion 1's noiseless observations, then criterion 9's timed ones.
+    seed = 20260810
+    rng = np.random.default_rng(seed)
+    observations = [true_phases(rng.uniform(-72.0, 72.0), PLAN51) for _ in range(1000)]
+    noise = NoiseSpec.from_snr_db(20.0)
+    plan_large = design_concerto_plan(2500e6, 2400e6, 51, 14_400.0, C)
+    for plan, count in ((PLAN51, 300), (plan_large, 30)):
+        for t in range(count):
+            rng = np.random.default_rng(mix_seed(seed, t))
+            l_true = rng.uniform(-plan.range_budget_m / 4, plan.range_budget_m / 4)
+            observations.append(synthesize_observation(l_true, plan, noise, rng))
+    for obs in observations:
+        trace = ef_estimate(obs)
+        assert callable(trace._m_chain)
+        assert trace.m_chain == _eager_ef_chain(obs, trace.l_final_m)
+        assert trace.m_chain is trace.m_chain
+        assert all(type(v) is int for v in trace.m_chain)
 
 
 # -- registry ---------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unwrapkit import (
     FrequencyPlan,
@@ -167,3 +169,40 @@ def test_plan_csv_round_trip():
     for key in ("c_m_s", "ratio", "range_budget_m"):
         with pytest.raises(InvalidArgumentError, match=key):
             plan_from_csv(f"# {key}=xyz\nindex,f_hz,lambda_m\n0,2.5e9,0.12\n")
+
+
+def _field_bits(plan):
+    """Every field of a plan, each float as its bit pattern."""
+    def bits(v):
+        return v if v is None or isinstance(v, str) else float(v).hex()
+    return (tuple(map(bits, plan.freqs_hz)), bits(plan.c_m_s), plan.pattern_kind,
+            bits(plan.range_budget_m), bits(plan.ratio))
+
+
+_SPEEDS = st.floats(1e8, 3e8)
+_CONCERTO = st.builds(
+    lambda f_high, frac, n, bk, c: (f_high, f_high * (1.0 - frac), n, bk * c / (f_high * frac), c),
+    st.floats(1e8, 1e10), st.floats(0.02, 0.6), st.integers(3, 64), st.floats(1.5, 1e4), _SPEEDS,
+)
+_BW = st.tuples(st.floats(1e8, 1e10), st.floats(0.02, 0.6), st.integers(3, 12), _SPEEDS)
+_OPTIONAL = st.none() | st.floats(allow_nan=False)
+_EXPLICIT = st.builds(
+    FrequencyPlan,
+    freqs_hz=st.lists(st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+                      min_size=1, max_size=8).map(tuple),
+    c_m_s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    range_budget_m=_OPTIONAL,
+    ratio=_OPTIONAL,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(plan=st.one_of(
+    _CONCERTO.map(lambda a: design_concerto_plan(*a)),
+    _BW.map(lambda a: design_bw_plan(a[0], a[0] * a[1], a[2], a[3])),
+    _EXPLICIT,
+))
+def test_plan_csv_round_trip_property(plan):
+    again = plan_from_csv(plan_to_csv(plan))
+    assert again == plan
+    assert _field_bits(again) == _field_bits(plan)
