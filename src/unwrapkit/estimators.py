@@ -212,6 +212,13 @@ class PlanConstants:
         adjacent phase difference."""
         return self.two_pi_inv_lam[:-1] - self.two_pi_inv_lam[1:]
 
+    @cached_property
+    def ef_inv_lam_tile(self) -> np.ndarray:
+        """1/lambda_i for i >= 1 down every row of the longest ``ef`` scan
+        chunk (0.4 MB), so the scan multiplies two contiguous arrays."""
+        rest = self.inv_lam[1:]
+        return np.tile(rest, (_ef_rows(rest.size), 1))
+
 
 def plan_constants(plan: FrequencyPlan) -> PlanConstants:
     """The plan's :class:`PlanConstants`, built once and kept on the plan.
@@ -512,16 +519,30 @@ def _concerto_rows(k: PlanConstants, phases: np.ndarray):
     return l_c, _fit(k, fold, phase_turns)
 
 
-_EF_CHUNK = 4096
+#: Elements (candidates x (N-1)) in the longest chunk of the ``ef`` candidate
+#: scan: each of the scan's float64 chunk buffers holds this many, 0.4 MB, so
+#: one chunk's buffers stay in a core's L2 cache (1,024 candidates at N = 51).
+_EF_CHUNK_ELEMENTS = 51_200
 _EF_LOCAL = threading.local()
 
 
+def _ef_rows(cols: int) -> int:
+    """Candidates in the longest ``ef`` scan chunk: the most whose rows of
+    ``cols`` fractions fit ``_EF_CHUNK_ELEMENTS``."""
+    return max(1, _EF_CHUNK_ELEMENTS // max(cols, 1))
+
+
 def _ef_scratch(cols: int):
-    # Per-thread chunk buffers keep the candidate scan reentrant without
-    # paying an allocation (and page-fault) per estimate.
+    """The calling thread's three (rows, cols) buffers of the ``ef`` scan,
+    rows = :func:`_ef_rows`: a chunk's folding fractions, their rounded
+    values, and the targets row tiled down the rows.
+
+    Per-thread buffers keep the scan reentrant without paying an allocation
+    (and page faults) per estimate.
+    """
     cached = getattr(_EF_LOCAL, "buffers", None)
     if cached is None or cached[0].shape[1] != cols:
-        cached = (np.empty((_EF_CHUNK, cols)), np.empty((_EF_CHUNK, cols)))
+        cached = tuple(np.empty((_ef_rows(cols), cols)) for _ in range(3))
         _EF_LOCAL.buffers = cached
     return cached
 
@@ -540,15 +561,26 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     guard) is scored by the summed squared distance of its implied folding
     fractions to the nearest integers; the winner is refined by the final
     least-squares fit. Cost is linear in k.
+
+    The scan is exact and has one path for every k. Candidates are scored
+    in as few equal chunks as the per-thread buffers of :func:`_ef_scratch`
+    hold. Each chunk's arithmetic runs on contiguous arrays: its ranges are
+    copied down the rows and multiplied by the plan's tiled inverse
+    wavelengths, then the targets row, tiled once per call, is subtracted.
+    Each score is ``einsum`` over its own C-contiguous row of N-1 squared
+    fractions, so it does not depend on the chunking; ``argmin`` within a
+    chunk and the strict ``<`` across chunks keep the first candidate on an
+    exact tie.
     """
     plan = obs.plan
+    umr_m = plan.umr_m
     if k_m is None:
-        k_m = plan.range_budget_m if plan.range_budget_m is not None else plan.umr_m
+        k_m = plan.range_budget_m if plan.range_budget_m is not None else umr_m
     if not (k_m > 0.0 and math.isfinite(k_m)):
         raise InvalidArgumentError("search range must be positive and finite")
-    if k_m > plan.umr_m * (1.0 + 1e-9):
+    if k_m > umr_m * (1.0 + 1e-9):
         raise InvalidArgumentError(
-            f"search range {k_m!r} m exceeds the unambiguous range {plan.umr_m!r} m"
+            f"search range {k_m!r} m exceeds the unambiguous range {umr_m!r} m"
         )
     k = plan_constants(plan)
     lam0 = k.lam0
@@ -559,30 +591,34 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     if m_hi < m_lo:
         raise InvalidArgumentError("empty candidate set")
 
-    inv_lam_rest = k.inv_lam[1:]
-    targets = phases[1:] * _INV_TWO_PI
+    phase_turns = phases * _INV_TWO_PI
+    inv_lam_tile = k.ef_inv_lam_tile
+    frac, scratch, targets = _ef_scratch(inv_lam_tile.shape[1])
+    total = m_hi - m_lo + 1
+    chunks = (total + frac.shape[0] - 1) // frac.shape[0]
+    rows = (total + chunks - 1) // chunks
+    targets = targets[:rows]
+    targets[...] = phase_turns[1:]
     best_score = math.inf
     best_m = m_lo
-    frac, scratch = _ef_scratch(inv_lam_rest.size)
-    for start in range(m_lo, m_hi + 1, _EF_CHUNK):
-        stop = min(start + _EF_CHUNK - 1, m_hi)
-        count = stop - start + 1
-        cand = np.arange(start, stop + 1, dtype=float)
+    for start in range(m_lo, m_hi + 1, rows):
+        cand = np.arange(start, min(start + rows, m_hi + 1), dtype=float)
         l_cand = (cand + phi0_turns) * lam0
+        count = cand.size
         f = frac[:count]
         s = scratch[:count]
-        np.multiply(l_cand[:, None], inv_lam_rest[None, :], out=f)
-        np.subtract(f, targets[None, :], out=f)
+        f[...] = l_cand[:, None]
+        np.multiply(f, inv_lam_tile[:count], out=f)
+        np.subtract(f, targets[:count], out=f)
         np.rint(f, out=s)
         np.subtract(f, s, out=f)
         scores = np.einsum("ij,ij->i", f, f)
-        local = int(np.argmin(scores))
+        local = int(scores.argmin())
         if scores[local] < best_score:
             best_score = float(scores[local])
             best_m = start + local
 
     l_cand_best = (best_m + phi0_turns) * lam0
-    phase_turns = phases * _INV_TWO_PI
     fold = _fold(k, l_cand_best, phase_turns)
     l_final = float(_fit(k, fold, phase_turns))
 

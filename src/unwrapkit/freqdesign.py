@@ -78,7 +78,9 @@ def design_bw_plan(
     """Design the classical chain pattern with common ratio f_0/B.
 
     The range budget is set to the resulting unambiguous range
-    (c/B)*(f_0/B)^(N-2); there is no independent K for this family.
+    (c/B)*(f_0/B)^(N-2); there is no independent K for this family. An
+    ``n`` so large that adjacent frequencies collapse to one float is
+    rejected with :class:`InvalidArgumentError`.
     """
     _check_speed(c_m_s)
     if n < 3:
@@ -89,6 +91,15 @@ def design_bw_plan(
     freqs = [f_high_hz]
     for i in range(1, n):
         freqs.append(f_high_hz - bandwidth_hz * rho ** (-(n - 1 - i)))
+    # Once the smallest offset B*rho^-(N-2) is below half an ulp of f_0, the
+    # top frequencies collapse onto f_0; that happens long before
+    # rho^(N-2) could overflow.
+    if any(hi <= lo for hi, lo in zip(freqs, freqs[1:])):
+        raise InvalidArgumentError(
+            f"n = {n} is too large for f_0/B = {rho:.6g}: the offsets "
+            "B*(f_0/B)^-(n-2) shrink below the resolution of f_0 and "
+            "adjacent frequencies collapse"
+        )
     budget = (c_m_s / bandwidth_hz) * rho ** (n - 2)
     return FrequencyPlan(
         freqs_hz=tuple(freqs),

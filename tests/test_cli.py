@@ -362,6 +362,14 @@ def test_exit_codes(tmp_path, capsys):
     ])
     assert code == 2
     assert "propagation speed must be finite and positive" in err
+    # a bw chain this long collapses its top frequencies onto f_0 (and its
+    # range budget (c/B)*(f_0/B)^(n-2) overflows a float)
+    code, out, err = _run(capsys, [
+        "design", "--pattern", "bw", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "300",
+    ])
+    assert code == 2
+    assert "n = 300 is too large" in err
+    assert "Traceback" not in err and out == ""
     # no observations to time
     code, _, err = _run(capsys, [
         "bench", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",

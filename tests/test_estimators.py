@@ -9,6 +9,8 @@ Oracles used here:
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from unwrapkit import (
     true_phases,
     wrap_phase,
 )
+from unwrapkit import estimators
 from unwrapkit.estimators import _bw_rows, _concerto_rows, plan_constants
 
 C = 3e8
@@ -487,6 +490,115 @@ def test_ef_m_chain_is_computed_on_first_read():
         assert trace.m_chain == _eager_ef_chain(obs, trace.l_final_m)
         assert trace.m_chain is trace.m_chain
         assert all(type(v) is int for v in trace.m_chain)
+
+
+def _one_pass_ef_oracle(obs, k_m):
+    """``ef`` with its candidate scan in one pass: the whole (M, N-1) array of
+    folding fractions at once, ``einsum`` per row, then the first ``argmin``.
+    Returns (l_coarse_m, l_final_m, fold_ints, delta_m)."""
+    lam = np.array(obs.plan.wavelengths_m)
+    phases = obs.phases_rad
+    phi0_turns = float(phases[0]) * (1.0 / TWO_PI)
+    m_lo = math.ceil(-k_m / (2.0 * lam[0]) - 1.0)
+    m_hi = math.floor(k_m / (2.0 * lam[0]) + 1.0)
+    l_cand = (np.arange(m_lo, m_hi + 1, dtype=float) + phi0_turns) * lam[0]
+    f = l_cand[:, None] * (1.0 / lam[1:]) - phases[1:] * (1.0 / TWO_PI)
+    f -= np.rint(f)
+    l_coarse = (m_lo + int(np.argmin(np.einsum("ij,ij->i", f, f))) + phi0_turns) * lam[0]
+    fold = fold_integers(obs, l_coarse)
+    l_final = ls_refine(obs, fold)
+    return l_coarse, l_final, tuple(fold.tolist()), l_final - obs.truth_m
+
+
+def _assert_ef_matches_oracle(obs, k_m):
+    trace = ef_estimate(obs, k_m)
+    got = (trace.l_coarse_m, trace.l_final_m, trace.fold_ints, trace.delta_m)
+    assert got == _one_pass_ef_oracle(obs, k_m)
+    if obs.plan.n > 1:
+        assert trace.m_chain == _eager_ef_chain(obs, trace.l_final_m)
+
+
+def test_ef_scan_matches_one_pass_oracle():
+    rng = np.random.default_rng(20261018)
+    # the designed plans at every SNR, truths anywhere in the search range
+    for k_m, per_snr in ((144.0, 30), (1440.0, 6), (14_400.0, 1)):
+        plan = design_concerto_plan(2500e6, 2400e6, 51, k_m, C)
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            noise = NoiseSpec.from_snr_db(snr_db)
+            for _ in range(per_snr):
+                l_true = rng.uniform(-k_m / 2, k_m / 2)
+                _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), k_m)
+
+    # candidate counts around the buffers' row count; an odd count is all a
+    # symmetric search range gives, so the N = 48 plan's odd row count
+    # covers the count equal to it. The scan splits a count into equal
+    # chunks; truths sit on the candidates either side of the first chunk
+    # boundary.
+    for n in (51, 48):
+        plan = design_concerto_plan(2500e6, 2400e6, n, 1440.0, C)
+        cap = estimators._ef_rows(n - 1)
+        lam0 = plan.wavelengths_m[0]
+        for count in (cap - 1, cap, cap + 1, 2 * cap + 1):
+            if count % 2 == 0:
+                continue
+            k_m = (count - 2) * lam0
+            m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)
+            assert math.floor(k_m / (2.0 * lam0) + 1.0) - m_lo + 1 == count
+            chunks = -(-count // cap)
+            rows = -(-count // chunks)
+            for snr_db, index in ((40.0, 0), (40.0, rows - 1), (40.0, rows),
+                                  (40.0, count - 1), (0.0, None), (0.0, None)):
+                noise = NoiseSpec.from_snr_db(snr_db)
+                if index is None:
+                    l_true = rng.uniform(-k_m / 2, k_m / 2)
+                else:
+                    l_true = (m_lo + min(index, count - 1) + 0.1) * lam0
+                _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), k_m)
+
+    # one frequency: UMR is infinite and every score is exactly 0, so the tie
+    # spans every chunk boundary and the first candidate, m_lo, must win
+    plan = FrequencyPlan((2.4e9,), c_m_s=C)
+    cap = estimators._ef_rows(0)
+    lam0 = plan.wavelengths_m[0]
+    for k_m in (500.0, (cap - 3) * lam0, (cap - 1) * lam0, (2 * cap - 1) * lam0):
+        obs = PhaseObservation(np.array([0.7]), plan, truth_m=3.0)
+        _assert_ef_matches_oracle(obs, k_m)
+        m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)
+        assert ef_estimate(obs, k_m).l_coarse_m == (m_lo + 0.7 / TWO_PI) * lam0
+
+
+
+def test_ef_threads_match_sequential():
+    # Each thread scans in its own chunk buffers; the plan's inverse-wavelength
+    # tile is shared, and on a fresh plan it is first built under contention.
+    plan = design_concerto_plan(2500e6, 2400e6, 51, 1440.0, C)
+    rng = np.random.default_rng(20261019)
+    noise = NoiseSpec.from_snr_db(10.0)
+    observations = [synthesize_observation(rng.uniform(-700.0, 700.0), plan, noise, rng)
+                    for _ in range(12)]
+
+    def traces(order):
+        return {i: (t.l_coarse_m, t.l_final_m, t.fold_ints)
+                for i, t in ((i, ef_estimate(observations[i])) for i in order)}
+
+    results = []
+
+    def work(shift):
+        results.append(traces([(i + shift) % 12 for i in range(12)]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * j,)) for j in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = traces(range(12))
+    assert len(results) == 4 and all(r == expected for r in results)
 
 
 # -- registry ---------------------------------------------------------------

@@ -96,6 +96,15 @@ def test_bw_design_closed_form():
     assert validate_plan(plan) == []
 
 
+def test_bw_design_rejects_collapsing_frequencies():
+    # rho = 25: B*rho^-(n-2) falls below half an ulp of f_0 at n = 13, and
+    # rho^(n-2) itself overflows a float beyond n = 222
+    assert design_bw_plan(2500e6, 100e6, 12, C).n == 12
+    for n in (13, 300):
+        with pytest.raises(InvalidArgumentError, match=f"n = {n} is too large"):
+            design_bw_plan(2500e6, 100e6, n, C)
+
+
 def test_bw_design_last_ratio_automatic():
     # The chain ends at lambda_0: Lambda_{N-1}/lambda_0 = f_0/B holds by construction.
     plan = design_bw_plan(2500e6, 100e6, 7, C)
@@ -196,10 +205,19 @@ _EXPLICIT = st.builds(
 )
 
 
+def _bw_plan_or_none(f_high, frac, n, c):
+    """The designed ``bw`` plan, or None where its frequencies collapse
+    (a small B/f_0 with a large n), which ``design_bw_plan`` rejects."""
+    try:
+        return design_bw_plan(f_high, f_high * frac, n, c)
+    except InvalidArgumentError:
+        return None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(plan=st.one_of(
     _CONCERTO.map(lambda a: design_concerto_plan(*a)),
-    _BW.map(lambda a: design_bw_plan(a[0], a[0] * a[1], a[2], a[3])),
+    _BW.map(lambda a: _bw_plan_or_none(*a)).filter(lambda p: p is not None),
     _EXPLICIT,
 ))
 def test_plan_csv_round_trip_property(plan):
