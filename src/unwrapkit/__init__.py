@@ -9,11 +9,9 @@ Cramer-Rao bound, and a deterministic Monte-Carlo harness with a CLI.
 
 from .core import (
     C_VACUUM_M_S,
-    BeatSet,
     FrequencyPlan,
     NoiseSpec,
     PhaseObservation,
-    beat_set,
     beat_wavelengths,
     true_phases,
     wrap_phase,
@@ -30,13 +28,8 @@ from .errors import (
 )
 from .estimators import (
     EstimateTrace,
-    LsSystem,
-    ResidualSystem,
-    build_ls_system,
-    build_residual_system,
     build_w,
     bw_estimate,
-    bw_fold_chain,
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
@@ -68,12 +61,11 @@ from .simkit import (
     sweep_snr,
     synthesize_observation,
 )
-from .theory import concerto_mse, crb, sigma_e, sigma_to_snr, snr_to_sigma
+from .theory import concerto_mse, crb, sigma_e
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeatSet",
     "C_VACUUM_M_S",
     "ConfigError",
     "DegeneratePlanError",
@@ -82,10 +74,8 @@ __all__ = [
     "FrequencyPlan",
     "InfeasibleDesignError",
     "InvalidArgumentError",
-    "LsSystem",
     "NoiseSpec",
     "PhaseObservation",
-    "ResidualSystem",
     "SimReport",
     "SimRow",
     "ThresholdResult",
@@ -93,13 +83,9 @@ __all__ = [
     "UndefinedBoundError",
     "UnknownEstimatorError",
     "UnwrapKitError",
-    "beat_set",
     "beat_wavelengths",
-    "build_ls_system",
-    "build_residual_system",
     "build_w",
     "bw_estimate",
-    "bw_fold_chain",
     "coarse_estimate",
     "compensate_phases",
     "concerto_estimate",
@@ -120,9 +106,7 @@ __all__ = [
     "residual_estimate",
     "run_trials",
     "sigma_e",
-    "sigma_to_snr",
     "snr_threshold",
-    "snr_to_sigma",
     "sweep_range",
     "sweep_snr",
     "synthesize_observation",

@@ -140,19 +140,6 @@ class PhaseObservation:
         return self.plan.n
 
 
-@dataclass(frozen=True, eq=False)
-class BeatSet:
-    """Pairwise beat quantities against the highest frequency.
-
-    ``beat_phases_rad[i-1]`` is the wrapped difference phi_0 - phi_i and
-    ``beat_wavelengths_m[i-1]`` the matching synthetic wavelength
-    lambda_i*lambda_0/(lambda_i - lambda_0), strictly decreasing in i.
-    """
-
-    beat_phases_rad: np.ndarray
-    beat_wavelengths_m: np.ndarray
-
-
 def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
     """Synthetic wavelengths of the plan, one per frequency below f_0."""
     if plan.n < 2:
@@ -161,15 +148,6 @@ def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
     if np.any(lam[1:] == lam[0]):
         raise DegeneratePlanError("repeated wavelength: beat wavelength undefined")
     return lam[1:] * lam[0] / (lam[1:] - lam[0])
-
-
-def beat_set(obs: PhaseObservation) -> BeatSet:
-    """Form beat phases and beat wavelengths from an observation."""
-    lams = beat_wavelengths(obs.plan)
-    phases = wrap_phase(obs.phases_rad[0] - obs.phases_rad[1:])
-    phases.setflags(write=False)
-    lams.setflags(write=False)
-    return BeatSet(beat_phases_rad=phases, beat_wavelengths_m=lams)
 
 
 def true_phases(l_m: float, plan: FrequencyPlan) -> PhaseObservation:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -127,28 +126,6 @@ class EstimateTrace:
             f"l_mid_m={self.l_mid_m!r}, fold_ints={self.fold_ints!r}, "
             f"l_final_m={self.l_final_m!r}, delta_m={self.delta_m!r})"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualSystem:
-    """The ingredients of the residual stage, exposed for inspection.
-
-    ``w_matrix`` is symmetric positive definite with entries
-    (N*min(j,k) - j*k)/N for 1-based j, k.
-    """
-
-    delta_f_hz: np.ndarray
-    delta_phi_rad: np.ndarray
-    w_matrix: np.ndarray
-    compensated_rad: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class LsSystem:
-    """Inverse wavelengths and unwrapped cycle counts of the final fit."""
-
-    inv_wavelengths: np.ndarray
-    m_f: np.ndarray
 
 
 def build_w(n: int) -> np.ndarray:
@@ -272,16 +249,6 @@ def _chain(k: PlanConstants, phases: np.ndarray):
     return m_chain, m + bp[-1]
 
 
-def bw_fold_chain(obs: PhaseObservation) -> np.ndarray:
-    """Sequential beat-wavelength folding integers M_1..M_{N-1} (M_1 = 0).
-
-    Wrong integers under heavy noise are a statistical outcome, not an
-    error; correctness assumes |true range| < UMR/2.
-    """
-    m_chain, _ = _chain(plan_constants(obs.plan), obs.phases_rad)
-    return np.array(m_chain, dtype=np.int64)
-
-
 def coarse_estimate(obs: PhaseObservation):
     """First-stage coarse range: unwrap at the finest beat wavelength.
 
@@ -297,20 +264,6 @@ def compensate_phases(obs: PhaseObservation, l_c: float) -> np.ndarray:
     """Remove the coarse range from every phase: wrap(phi_i - 2*pi*l_c/lambda_i)."""
     two_pi_inv_lam = plan_constants(obs.plan).two_pi_inv_lam
     return wrap_inplace(obs.phases_rad - l_c * two_pi_inv_lam)
-
-
-def build_residual_system(compensated_rad, plan: FrequencyPlan) -> ResidualSystem:
-    """Assemble the residual-stage system for inspection or testing."""
-    comp = np.asarray(compensated_rad, dtype=float)
-    if comp.size != plan.n:
-        raise InvalidArgumentError("compensated phase count does not match plan")
-    freqs = np.array(plan.freqs_hz)
-    return ResidualSystem(
-        delta_f_hz=-np.diff(freqs),
-        delta_phi_rad=wrap_phase(comp[:-1] - comp[1:]),
-        w_matrix=build_w(plan.n),
-        compensated_rad=comp,
-    )
 
 
 def _residual(k: PlanConstants, dphi: np.ndarray):
@@ -412,13 +365,6 @@ def fold_integers(obs: PhaseObservation, l_m: float) -> np.ndarray:
     """Folding integers at every wavelength implied by the range guess ``l_m``."""
     fold = _fold(plan_constants(obs.plan), l_m, obs.phases_rad * _INV_TWO_PI)
     return fold.astype(np.int64)
-
-
-def build_ls_system(obs: PhaseObservation, fold_ints) -> LsSystem:
-    """Assemble the final-fit system for inspection or testing."""
-    inv_lam = plan_constants(obs.plan).inv_lam
-    m_f = np.asarray(fold_ints, dtype=float) + obs.phases_rad * _INV_TWO_PI
-    return LsSystem(inv_wavelengths=inv_lam.copy(), m_f=m_f)
 
 
 def ls_refine(obs: PhaseObservation, fold_ints) -> float:

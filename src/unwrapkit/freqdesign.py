@@ -15,6 +15,7 @@ Plans are stored at full floating precision; no synthesizer grid rounding.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .core import FrequencyPlan
 from .errors import InfeasibleDesignError, InvalidArgumentError
@@ -39,7 +40,9 @@ def design_concerto_plan(
 
     The ratio is set with equality, r = (B*K/c)^(1/(N-2)), which makes the
     unambiguous range equal to K (up to rounding) and minimizes the noise
-    amplification per chain step.
+    amplification per chain step. A plan that fails :func:`validate_plan`
+    (at very large K the offsets are too fine for f_0 to resolve) raises
+    :class:`InfeasibleDesignError`.
     """
     _check_speed(c_m_s)
     if n < 3:
@@ -60,13 +63,19 @@ def design_concerto_plan(
     for i in range(1, n - 1):
         freqs.append(f_high_hz - b * r ** (-(n - 1 - i)))
     freqs.append(f_low_hz)
-    return FrequencyPlan(
+    plan = FrequencyPlan(
         freqs_hz=tuple(freqs),
         c_m_s=c_m_s,
         pattern_kind="concerto",
         range_budget_m=float(k_m),
         ratio=r,
     )
+    violations = validate_plan(plan)
+    if violations:
+        raise InfeasibleDesignError(
+            f"n = {n} at K = {k_m:.6g} m gives an invalid plan: {violations[0]}"
+        )
+    return plan
 
 
 def design_bw_plan(
@@ -79,8 +88,8 @@ def design_bw_plan(
 
     The range budget is set to the resulting unambiguous range
     (c/B)*(f_0/B)^(N-2); there is no independent K for this family. An
-    ``n`` so large that adjacent frequencies collapse to one float is
-    rejected with :class:`InvalidArgumentError`.
+    ``n`` whose plan fails :func:`validate_plan` is rejected with
+    :class:`InvalidArgumentError`.
     """
     _check_speed(c_m_s)
     if n < 3:
@@ -91,23 +100,16 @@ def design_bw_plan(
     freqs = [f_high_hz]
     for i in range(1, n):
         freqs.append(f_high_hz - bandwidth_hz * rho ** (-(n - 1 - i)))
-    # Once the smallest offset B*rho^-(N-2) is below half an ulp of f_0, the
-    # top frequencies collapse onto f_0; that happens long before
-    # rho^(N-2) could overflow.
-    if any(hi <= lo for hi, lo in zip(freqs, freqs[1:])):
+    # As n grows the smallest offset B*rho^-(N-2) is resolved ever more
+    # coarsely by f_0: first the offset ratios miss rho, then the top
+    # frequencies collapse onto f_0, long before rho^(N-2) could overflow.
+    plan = FrequencyPlan(freqs_hz=tuple(freqs), c_m_s=c_m_s, pattern_kind="bw", ratio=rho)
+    violations = validate_plan(plan)
+    if violations:
         raise InvalidArgumentError(
-            f"n = {n} is too large for f_0/B = {rho:.6g}: the offsets "
-            "B*(f_0/B)^-(n-2) shrink below the resolution of f_0 and "
-            "adjacent frequencies collapse"
+            f"n = {n} is too large for f_0/B = {rho:.6g}: {violations[0]}"
         )
-    budget = (c_m_s / bandwidth_hz) * rho ** (n - 2)
-    return FrequencyPlan(
-        freqs_hz=tuple(freqs),
-        c_m_s=c_m_s,
-        pattern_kind="bw",
-        range_budget_m=budget,
-        ratio=rho,
-    )
+    return replace(plan, range_budget_m=(c_m_s / bandwidth_hz) * rho ** (n - 2))
 
 
 def validate_plan(plan: FrequencyPlan) -> list:

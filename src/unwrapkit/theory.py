@@ -1,5 +1,6 @@
 """Closed-form error statistics: chain noise amplification, the final-stage
-mean-square error, the Cramer-Rao bound, and the SNR/sigma conversion.
+mean-square error and the Cramer-Rao bound. The SNR/sigma conversion is
+:class:`unwrapkit.core.NoiseSpec`'s (``from_snr_db`` and ``snr_db``).
 
 The final-stage MSE (conditional on correct folding integers) and the CRB
 are the same expression, sigma^2 / (4*pi^2 * sum_k lambda_k^-2); both are
@@ -54,12 +55,3 @@ def crb(plan: FrequencyPlan, noise: NoiseSpec) -> float:
         raise UndefinedBoundError("CRB is undefined for sigma = 0")
     return _final_stage_mse(plan, noise.sigma_rad)
 
-
-def snr_to_sigma(snr_db: float) -> float:
-    """Phase-noise deviation for a given SNR in dB, via SNR = 1/(2 sigma^2)."""
-    return NoiseSpec.from_snr_db(snr_db).sigma_rad
-
-
-def sigma_to_snr(sigma_rad: float) -> float:
-    """Inverse of :func:`snr_to_sigma`; returns +inf for sigma = 0."""
-    return NoiseSpec(sigma_rad=sigma_rad).snr_db

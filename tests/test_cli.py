@@ -370,6 +370,17 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
     assert "n = 300 is too large" in err
     assert "Traceback" not in err and out == ""
+    # designs whose offsets f_0 resolves too coarsely for the offset ratios
+    # to hold, which the --plan loader would refuse: a bw chain at n = 7,
+    # and a concerto plan at K = 1e8 m
+    for argv, message in (
+        (["--pattern", "bw", "--f-low", "2.4e9", "--n", "7"], "n = 7 is too large"),
+        (["--f-low", "2.4e9", "--n", "11", "--k", "1e8"], "infeasible plan"),
+    ):
+        code, out, err = _run(capsys, ["design", "--f-high", "2.5e9", "--c", "3e8"] + argv)
+        assert code == 2
+        assert message in err and "ratio-mismatch" in err
+        assert out == ""
     # no observations to time
     code, _, err = _run(capsys, [
         "bench", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unwrapkit import (
-    BeatSet,
+    DegeneratePlanError,
     FrequencyPlan,
     InvalidArgumentError,
     NoiseSpec,
     PhaseObservation,
-    beat_set,
+    beat_wavelengths,
     design_concerto_plan,
     true_phases,
     wrap_phase,
@@ -174,26 +174,31 @@ def test_observation_validation():
         PhaseObservation(phases_rad=[0.1, -0.2, 3.5], plan=plan)
 
 
-# -- beat_set ---------------------------------------------------------------
+# -- beat wavelengths and beat phases --------------------------------------
 
 def _plan_from_wavelengths(lams, c=3e8):
     return FrequencyPlan(freqs_hz=tuple(c / l for l in lams), c_m_s=c)
 
 
+def _beat_phases(obs):
+    """The wrapped beat phases phi_0 - phi_i, i >= 1."""
+    return wrap_phase(obs.phases_rad[0] - obs.phases_rad[1:])
+
+
 def test_beat_wavelength_published_set():
     # lambda_0 = 1.1, lambda_3 = 1.9: Lambda_3 = 1.9*1.1/0.8 = 2.6125
     plan = _plan_from_wavelengths([1.1, 1.1001, 1.1075, 1.9])
-    bs = beat_set(true_phases(0.0, plan))
-    assert isinstance(bs, BeatSet)
-    assert bs.beat_wavelengths_m[-1] == pytest.approx(2.6125, abs=1e-9)
-    assert np.all(np.diff(bs.beat_wavelengths_m) < 0)
+    lams = beat_wavelengths(plan)
+    assert lams.shape == (plan.n - 1,)
+    assert lams[-1] == pytest.approx(2.6125, abs=1e-9)
+    assert np.all(np.diff(lams) < 0)
 
 
 def test_beat_phases_zero_and_quarter_range():
     plan = design_concerto_plan(2500e6, 2400e6, 11, 100.0, 3e8)
-    assert np.all(beat_set(true_phases(0.0, plan)).beat_phases_rad == 0.0)
-    bs = beat_set(true_phases(plan.umr_m / 4.0, plan))
-    assert bs.beat_phases_rad[0] == pytest.approx(PI / 2, rel=1e-9)
+    assert np.all(_beat_phases(true_phases(0.0, plan)) == 0.0)
+    bp = _beat_phases(true_phases(plan.umr_m / 4.0, plan))
+    assert bp[0] == pytest.approx(PI / 2, rel=1e-9)
 
 
 def test_beat_wavelengths_decreasing_on_random_plans():
@@ -204,18 +209,15 @@ def test_beat_wavelengths_decreasing_on_random_plans():
         n = int(rng.integers(3, 12))
         k = rng.uniform(1.5, 1e5) * 3e8 / b
         plan = design_concerto_plan(f_high, f_high - b, n, k, 3e8)
-        bs = beat_set(true_phases(0.0, plan))
-        assert np.all(np.diff(bs.beat_wavelengths_m) < 0)
-        assert np.all(bs.beat_wavelengths_m > 0)
+        lams = beat_wavelengths(plan)
+        assert np.all(np.diff(lams) < 0)
+        assert np.all(lams > 0)
 
 
-def test_beat_set_degenerate_plan():
-    from unwrapkit import DegeneratePlanError
-
+def test_beat_wavelengths_degenerate_plan():
     plan = FrequencyPlan(freqs_hz=(1e9, 1e9, 0.5e9))
-    obs = PhaseObservation(phases_rad=[0.0, 0.0, 0.0], plan=plan)
     with pytest.raises(DegeneratePlanError):
-        beat_set(obs)
+        beat_wavelengths(plan)
 
 
 # -- true_phases ------------------------------------------------------------

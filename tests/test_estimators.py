@@ -25,12 +25,9 @@ from unwrapkit import (
     NoiseSpec,
     PhaseObservation,
     UnknownEstimatorError,
-    beat_set,
-    build_ls_system,
-    build_residual_system,
+    beat_wavelengths,
     build_w,
     bw_estimate,
-    bw_fold_chain,
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
@@ -97,20 +94,25 @@ def test_build_w_rejects_tiny_n():
 
 # -- chain ------------------------------------------------------------------
 
+def _beat_phases(obs):
+    """The wrapped beat phases phi_0 - phi_i, i >= 1."""
+    return wrap_phase(obs.phases_rad[0] - obs.phases_rad[1:])
+
+
 def test_chain_noiseless_matches_per_index_oracle():
     rng = np.random.default_rng(31)
-    bs_lam = beat_set(true_phases(0.0, PLAN51)).beat_wavelengths_m
+    bs_lam = beat_wavelengths(PLAN51)
     for _ in range(200):
         l_true = rng.uniform(-PLAN51.umr_m / 2, PLAN51.umr_m / 2)
         obs = true_phases(l_true, PLAN51)
-        bp = beat_set(obs).beat_phases_rad
+        bp = _beat_phases(obs)
         oracle = np.round(l_true / bs_lam - bp / TWO_PI).astype(np.int64)
-        np.testing.assert_array_equal(bw_fold_chain(obs), oracle)
+        np.testing.assert_array_equal(coarse_estimate(obs)[1], oracle)
 
 
 def test_chain_noiseless_zero():
     obs = true_phases(0.0, PLAN51)
-    assert np.all(bw_fold_chain(obs) == 0)
+    assert np.all(coarse_estimate(obs)[1] == 0)
 
 
 def test_chain_error_rate_tracks_sigma_e_tail():
@@ -125,13 +127,13 @@ def test_chain_error_rate_tracks_sigma_e_tail():
 
     rng = np.random.default_rng(17)
     trials, wrong = 20_000, 0
-    bs_lam = beat_set(true_phases(0.0, plan)).beat_wavelengths_m
+    bs_lam = beat_wavelengths(plan)
     for _ in range(trials):
         l_true = rng.uniform(-plan.umr_m / 4, plan.umr_m / 4)
         obs, theta = _noisy_obs(plan, l_true, sigma, rng)
-        bp = beat_set(obs).beat_phases_rad
+        bp = _beat_phases(obs)
         oracle = np.round(l_true / bs_lam - bp / TWO_PI).astype(np.int64)
-        if not np.array_equal(bw_fold_chain(obs), oracle):
+        if not np.array_equal(coarse_estimate(obs)[1], oracle):
             wrong += 1
     rate = wrong / trials
     assert 0.6 * predicted < rate < 1.3 * predicted, (rate, predicted)
@@ -193,11 +195,12 @@ def test_residual_system_explicit_product_route():
     # the same estimate to 1e-12 relative.
     rng = np.random.default_rng(23)
     w_explicit = _w_oracle(PLAN51.n)
+    w_entries = build_w(PLAN51.n)
+    df = -np.diff(np.array(PLAN51.freqs_hz))
     for _ in range(50):
         comp = rng.uniform(-math.pi, math.pi, PLAN51.n)
-        sys = build_residual_system(comp, PLAN51)
-        df, dphi = sys.delta_f_hz, sys.delta_phi_rad
-        via_entries = (C / TWO_PI) * (df @ sys.w_matrix @ dphi) / (df @ sys.w_matrix @ df)
+        dphi = wrap_phase(comp[:-1] - comp[1:])
+        via_entries = (C / TWO_PI) * (df @ w_entries @ dphi) / (df @ w_entries @ df)
         via_product = (C / TWO_PI) * (df @ w_explicit @ dphi) / (df @ w_explicit @ df)
         got = residual_estimate(comp, PLAN51)
         assert got == pytest.approx(via_entries, rel=1e-12)
@@ -296,6 +299,11 @@ def test_ls_refine_noiseless_and_single_frequency():
     obs = true_phases(l_true, PLAN51)
     fold = fold_integers(obs, l_true)
     assert ls_refine(obs, fold) == pytest.approx(l_true, abs=1e-9 * max(1.0, abs(l_true)))
+    # the fit is exactly the quotient (sum_i m_f_i/lambda_i) / (sum_i lambda_i^-2)
+    # of the unwrapped cycle counts m_f = fold + phi/(2*pi)
+    inv_lam = 1.0 / np.array(PLAN51.wavelengths_m)
+    m_f = fold + obs.phases_rad * (1.0 / TWO_PI)
+    assert ls_refine(obs, fold) == m_f.dot(inv_lam) / inv_lam.dot(inv_lam)
 
     single = FrequencyPlan(freqs_hz=(C / 0.7,), c_m_s=C)
     obs1 = true_phases(0.4, single)
@@ -315,17 +323,6 @@ def test_ls_refine_matches_grid_minimizer():
         got = ls_refine(obs, fold)
         oracle = _j_grid_minimizer(obs, fold, got)
         assert abs(got - oracle) < 1e-6
-
-
-def test_ls_system_fields():
-    obs = true_phases(5.0, PLAN51)
-    fold = fold_integers(obs, 5.0)
-    sys = build_ls_system(obs, fold)
-    assert sys.inv_wavelengths.shape == (51,)
-    assert np.all(sys.inv_wavelengths > 0)
-    np.testing.assert_allclose(
-        sys.m_f, np.asarray(fold) + obs.phases_rad / TWO_PI, atol=0
-    )
 
 
 # -- full pipelines ---------------------------------------------------------
@@ -383,7 +380,7 @@ def test_trace_integer_fields_and_immutability():
     obs = true_phases(12.5, PLAN51)
     for fn in (concerto_estimate, bw_estimate):
         trace = fn(obs)
-        assert trace.m_chain == tuple(bw_fold_chain(obs).tolist())
+        assert trace.m_chain == tuple(coarse_estimate(obs)[1].tolist())
         for field in (trace.m_chain, trace.fold_ints):
             assert type(field) is tuple
             assert all(type(v) is int for v in field)

@@ -97,17 +97,49 @@ def test_bw_design_closed_form():
 
 
 def test_bw_design_rejects_collapsing_frequencies():
-    # rho = 25: B*rho^-(n-2) falls below half an ulp of f_0 at n = 13, and
-    # rho^(n-2) itself overflows a float beyond n = 222
-    assert design_bw_plan(2500e6, 100e6, 12, C).n == 12
-    for n in (13, 300):
+    # rho = 25: from n = 7 f_0 resolves the smallest offset B*rho^-(n-2) too
+    # coarsely for the offset ratios to hold rho, at n = 13 that offset falls
+    # below half an ulp of f_0, and beyond n = 222 rho^(n-2) overflows a float
+    assert design_bw_plan(2500e6, 100e6, 6, C).n == 6
+    for n in (7, 12, 13, 300):
         with pytest.raises(InvalidArgumentError, match=f"n = {n} is too large"):
             design_bw_plan(2500e6, 100e6, n, C)
 
 
+def test_designed_plans_are_refused_or_valid_as_plan_files():
+    # Every plan a design function returns passes validate_plan, also when
+    # re-read from its CSV as the CLI's --plan loader reads it; every other
+    # design is refused. The bw draws span the CSV round-trip property's bw
+    # space, and the concerto grid reaches K = 1e10 m.
+    rng = np.random.default_rng(2024)
+    draws = 4000
+    designs = [
+        (InvalidArgumentError, design_bw_plan, (f_high, f_high * frac, n, c))
+        for f_high, frac, n, c in zip(
+            rng.uniform(1e8, 1e10, draws).tolist(), rng.uniform(0.02, 0.6, draws).tolist(),
+            rng.integers(3, 13, draws).tolist(), rng.uniform(1e8, 3e8, draws).tolist(),
+        )
+    ] + [
+        (InfeasibleDesignError, design_concerto_plan, (2500e6, 2400e6, n, k_m, C))
+        for n in range(3, 65, 4) for k_m in np.logspace(0, 10, 41).tolist()
+    ]
+    refused = 0
+    for refusal, design, args in designs:
+        try:
+            plan = design(*args)
+        except refusal:
+            refused += 1
+            continue
+        assert validate_plan(plan) == [], args
+        again = plan_from_csv(plan_to_csv(plan))
+        assert again == plan and validate_plan(again) == [], args
+    # about 500 bw draws and 280 concerto designs are refused
+    assert 0 < refused < len(designs) // 2
+
+
 def test_bw_design_last_ratio_automatic():
     # The chain ends at lambda_0: Lambda_{N-1}/lambda_0 = f_0/B holds by construction.
-    plan = design_bw_plan(2500e6, 100e6, 7, C)
+    plan = design_bw_plan(2500e6, 100e6, 6, C)
     beat_last = plan.c_m_s / plan.bandwidth_hz
     assert beat_last / plan.wavelengths_m[0] == pytest.approx(plan.ratio, rel=1e-12)
 
@@ -206,8 +238,8 @@ _EXPLICIT = st.builds(
 
 
 def _bw_plan_or_none(f_high, frac, n, c):
-    """The designed ``bw`` plan, or None where its frequencies collapse
-    (a small B/f_0 with a large n), which ``design_bw_plan`` rejects."""
+    """The designed ``bw`` plan, or None where ``design_bw_plan`` refuses it
+    (a small B/f_0 with a large n fails ``validate_plan``)."""
     try:
         return design_bw_plan(f_high, f_high * frac, n, c)
     except InvalidArgumentError:

@@ -14,8 +14,6 @@ from unwrapkit import (
     crb,
     design_concerto_plan,
     sigma_e,
-    sigma_to_snr,
-    snr_to_sigma,
 )
 
 C = 3e8
@@ -67,8 +65,11 @@ def test_crb_decreases_when_adding_a_frequency():
 
 
 def test_snr_sigma_conversion():
-    assert snr_to_sigma(0.0) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-    assert snr_to_sigma(300.0) < 1e-15
-    assert snr_to_sigma(5.0) == pytest.approx(1 / math.sqrt(2 * 10**0.5), rel=1e-12)
+    def sigma(snr_db):
+        return NoiseSpec.from_snr_db(snr_db).sigma_rad
+
+    assert sigma(0.0) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    assert sigma(300.0) < 1e-15
+    assert sigma(5.0) == pytest.approx(1 / math.sqrt(2 * 10**0.5), rel=1e-12)
     for snr_db in np.linspace(-20, 60, 161):
-        assert sigma_to_snr(snr_to_sigma(snr_db)) == pytest.approx(snr_db, rel=1e-12, abs=1e-12)
+        assert NoiseSpec(sigma(snr_db)).snr_db == pytest.approx(snr_db, rel=1e-12, abs=1e-12)
