@@ -80,18 +80,27 @@ class FrequencyPlan:
     ratio: float | None = None
 
     def __post_init__(self):
+        # Numbers are stored as Python floats, so that numpy scalars handed
+        # in do not reach the plan file as "np.float64(...)".
         freqs = tuple(float(f) for f in self.freqs_hz)
         if len(freqs) == 0:
             raise InvalidArgumentError("plan needs at least one frequency")
         if not all(math.isfinite(f) and f != 0.0 for f in freqs):
             raise InvalidArgumentError("frequencies must be finite and nonzero")
-        if not (math.isfinite(self.c_m_s) and self.c_m_s > 0.0):
+        c_m_s = float(self.c_m_s)
+        if not (math.isfinite(c_m_s) and c_m_s > 0.0):
             raise InvalidArgumentError("propagation speed must be finite and positive")
         if self.pattern_kind not in _PATTERN_KINDS:
             raise InvalidArgumentError(
                 f"unknown pattern_kind {self.pattern_kind!r}, expected one of {_PATTERN_KINDS}"
             )
-        object.__setattr__(self, "freqs_hz", freqs)
+        init = object.__setattr__
+        init(self, "freqs_hz", freqs)
+        init(self, "c_m_s", c_m_s)
+        for name in ("range_budget_m", "ratio"):
+            value = getattr(self, name)
+            if value is not None:
+                init(self, name, float(value))
 
     @property
     def n(self) -> int:

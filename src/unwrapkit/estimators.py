@@ -67,21 +67,15 @@ def _round_half_away(v: float) -> int:
     return -int(math.floor(0.5 - v))
 
 
-def _int_tuple(values) -> tuple:
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return tuple(map(int, values))
-
-
 class EstimateTrace:
     """Every intermediate quantity of a single estimate. Immutable.
 
     ``l_mid_m`` always equals ``l_coarse_m + l_residual_m`` exactly as
     computed. ``delta_m`` is filled when the observation carried its truth.
-    ``m_chain`` and ``fold_ints`` read as tuples of ints; they may be handed
-    over as any sequence of integer values, and the tuple is built when the
-    field is first read. ``m_chain`` may also be handed over as a function of
-    no arguments that returns that sequence; it is called on the first read.
+    ``m_chain`` and ``fold_ints`` read as tuples of ints. Either may be handed
+    over as any sequence of integer values, or as a function of no arguments
+    that returns one; the function is called, and the tuple built, when the
+    field is first read.
     """
 
     __slots__ = (
@@ -104,20 +98,24 @@ class EstimateTrace:
     def __setattr__(self, name, value):
         raise AttributeError(f"EstimateTrace is immutable; cannot set {name!r}")
 
+    def _int_field(self, slot: str) -> tuple:
+        values = getattr(self, slot)
+        if type(values) is not tuple:
+            if callable(values):
+                values = values()
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            values = tuple(map(int, values))
+            object.__setattr__(self, slot, values)
+        return values
+
     @property
     def m_chain(self) -> tuple:
-        m_chain = self._m_chain
-        if type(m_chain) is not tuple:
-            if callable(m_chain):
-                m_chain = m_chain()
-            object.__setattr__(self, "_m_chain", _int_tuple(m_chain))
-        return self._m_chain
+        return self._int_field("_m_chain")
 
     @property
     def fold_ints(self) -> tuple:
-        if type(self._fold_ints) is not tuple:
-            object.__setattr__(self, "_fold_ints", _int_tuple(self._fold_ints))
-        return self._fold_ints
+        return self._int_field("_fold_ints")
 
     def __repr__(self):
         return (
@@ -218,23 +216,44 @@ def _chain(k: PlanConstants, phases: np.ndarray):
     finest beat wavelength, in turns; the coarse range is that times
     ``k.beat_last``. A block runs the same recurrence and rounding on one
     (B,) vector per stage, so every row matches its one-observation result
-    bit for bit.
+    bit for bit, except that a chain integer rounded from v = -0.0 is +0.0
+    on one observation and -0.0 in a block; the next stage adds it to +0.0,
+    so the integers and the beat phase in turns still match.
+
+    One observation folds each beat phase phi_0 - phi_i inside its Python
+    loop instead of calling :func:`wrap_inplace`. That relies on every phase
+    lying in (-pi, pi], as :class:`PhaseObservation` enforces: a difference
+    then lies in [-2*pi, 2*pi], where wrap_inplace's ``fmod`` changes only
+    -2*pi (to -0.0) and 2*pi (to +0.0, which its subtraction also gives), so
+    its two corrections alone, with -2*pi mapped to -0.0, give the same bits.
     """
     ratios = k.beat_ratios
     if phases.ndim == 1:
         # One observation: a Python-float loop, since (1, N) column
         # arithmetic costs about 15x more.
-        bp = wrap_inplace(phases[0] - phases[1:])
-        bp *= _INV_TWO_PI
-        bp = bp.tolist()
+        pi, two_pi, inv_two_pi = math.pi, TWO_PI, _INV_TWO_PI
+        diffs = (phases[0] - phases[1:]).tolist()
+        b = diffs[0]
+        if b > pi:
+            b -= two_pi
+        elif b <= -pi:
+            b = b + two_pi if b != -two_pi else -0.0
+        b *= inv_two_pi
         m = 0.0
         m_chain = [m]
-        for b, b_next, ratio in zip(bp, bp[1:], ratios):
+        for b_next, ratio in zip(diffs[1:], ratios):
+            # the fold of b above, inlined to save a call per stage
+            if b_next > pi:
+                b_next -= two_pi
+            elif b_next <= -pi:
+                b_next = b_next + two_pi if b_next != -two_pi else -0.0
+            b_next *= inv_two_pi
             v = (m + b) * ratio - b_next
             # round half away from zero; // 1.0 is an exact float floor
             m = (v + 0.5) // 1.0 if v >= 0.0 else -((0.5 - v) // 1.0)
             m_chain.append(m)
-        return m_chain, m + bp[-1]
+            b = b_next
+        return m_chain, m + b
     # A row block: one row of beat phases per stage.
     bp = wrap_inplace((phases[:, :1] - phases[:, 1:]).T.copy())
     bp *= _INV_TWO_PI
@@ -385,7 +404,8 @@ def bw_estimate(obs: PhaseObservation) -> EstimateTrace:
     """Classical chain estimate, including the final rounding step at lambda_0.
 
     The trace's residual field is 0 and its fold integers are the ones the
-    final range implies at every wavelength (index 0 is the rounded m_0).
+    final range implies at every wavelength (index 0 is the rounded m_0),
+    computed when the trace's ``fold_ints`` is first read.
     """
     k = plan_constants(obs.plan)
     phases = obs.phases_rad
@@ -394,14 +414,13 @@ def bw_estimate(obs: PhaseObservation) -> EstimateTrace:
     phi0_turns = float(phases[0]) * _INV_TWO_PI
     m0 = _round_half_away(turns * (k.beat_last / k.lam0) - phi0_turns)
     l_final = (m0 + phi0_turns) * k.lam0
-    fold = _fold(k, l_final, phases * _INV_TWO_PI)
     return EstimateTrace(
         method="bw",
         m_chain=m_chain,
         l_coarse_m=l_c,
         l_residual_m=0.0,
         l_mid_m=l_c + 0.0,
-        fold_ints=fold,
+        fold_ints=partial(fold_integers, obs, l_final),
         l_final_m=l_final,
         delta_m=_delta(l_final, obs),
     )

@@ -47,7 +47,7 @@ from unwrapkit import (
     wrap_phase,
 )
 from unwrapkit import estimators
-from unwrapkit.estimators import _bw_rows, _concerto_rows, plan_constants
+from unwrapkit.estimators import _bw_rows, _chain, _concerto_rows, plan_constants
 
 C = 3e8
 TWO_PI = 2.0 * math.pi
@@ -469,8 +469,8 @@ def _eager_ef_chain(obs, l_final):
     return tuple(int(m) for m in np.copysign(np.floor(np.abs(v) + 0.5), v))
 
 
-def test_ef_m_chain_is_computed_on_first_read():
-    # Criterion 1's noiseless observations, then criterion 9's timed ones.
+def _first_read_observations():
+    """Criterion 1's noiseless observations, then criterion 9's timed ones."""
     seed = 20260810
     rng = np.random.default_rng(seed)
     observations = [true_phases(rng.uniform(-72.0, 72.0), PLAN51) for _ in range(1000)]
@@ -481,12 +481,25 @@ def test_ef_m_chain_is_computed_on_first_read():
             rng = np.random.default_rng(mix_seed(seed, t))
             l_true = rng.uniform(-plan.range_budget_m / 4, plan.range_budget_m / 4)
             observations.append(synthesize_observation(l_true, plan, noise, rng))
-    for obs in observations:
+    return observations
+
+
+def test_ef_m_chain_is_computed_on_first_read():
+    for obs in _first_read_observations():
         trace = ef_estimate(obs)
         assert callable(trace._m_chain)
         assert trace.m_chain == _eager_ef_chain(obs, trace.l_final_m)
         assert trace.m_chain is trace.m_chain
         assert all(type(v) is int for v in trace.m_chain)
+
+
+def test_bw_fold_ints_are_computed_on_first_read():
+    for obs in _first_read_observations():
+        trace = bw_estimate(obs)
+        assert callable(trace._fold_ints)
+        assert trace.fold_ints == tuple(fold_integers(obs, trace.l_final_m).tolist())
+        assert trace.fold_ints is trace.fold_ints
+        assert all(type(v) is int for v in trace.fold_ints)
 
 
 def _one_pass_ef_oracle(obs, k_m):
@@ -642,3 +655,57 @@ def test_row_block_kernels_match_scalar_estimators(n, k_log, snr_db, truths, see
             trace = estimate(PhaseObservation(phases_rad=row, plan=plan))
             assert l_coarse[i] == trace.l_coarse_m
             assert abs(l_final[i] - trace.l_final_m) <= bound
+
+
+def _wrap_edge_rows(n):
+    """Rows whose beat phases phi_0 - phi_j hit the wrap's edges at stage j:
+    exactly +-pi, and +-2*pi after rounding (phi_0 = nextafter(-pi, 0)
+    against pi, and the mirror case), with the phase before stage j a little
+    above, at or below phi_0 so that the stage's integer and the coarse
+    range come out as zeros of either sign."""
+    pi = math.pi
+    just_above_minus_pi = float(np.nextafter(-pi, 0.0))
+    assert just_above_minus_pi - pi == -TWO_PI and pi - just_above_minus_pi == TWO_PI
+    edges = [
+        (pi / 2, -pi / 2),                  # +pi
+        (-pi / 2, pi / 2),                  # -pi
+        (just_above_minus_pi, pi),          # rounds to -2*pi
+        (pi, just_above_minus_pi),          # rounds to +2*pi
+    ]
+    rows = []
+    for phi0, phi_j in edges:
+        for j in (1, n // 2, n - 1):
+            for step in (-1e-15, 0.0, 1e-15, 0.3):
+                row = np.full(n, phi0)
+                row[j] = phi_j
+                if j > 1 and -pi < phi0 + step <= pi:
+                    row[j - 1] = phi0 + step
+                rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 51])
+def test_one_observation_chain_matches_block_at_wrap_edges(n):
+    # The one-observation chain folds its beat phases without wrap_inplace;
+    # the row block still wraps with it. Compare bits, since -0.0 == 0.0.
+    # (A chain integer that rounds from v = -0.0 is +0.0 on one observation
+    # and -0.0 in a block; the next stage adds +0.0 to it either way, so only
+    # its integer value is compared.)
+    plan = PLAN51 if n == 51 else FrequencyPlan(freqs_hz=(2.5e9, 2.45e9, 2.4e9)[:n])
+    k = plan_constants(plan)
+    rows = _wrap_edge_rows(n)
+    m_block, turns_block = _chain(k, rows)
+    l_coarse_block = turns_block * k.beat_last
+    negative_zeros = 0
+    for i, row in enumerate(rows):
+        m_chain, turns = _chain(k, row)
+        assert turns.hex() == turns_block[i].hex()
+        obs = PhaseObservation(phases_rad=row, plan=plan)
+        for estimate in (concerto_estimate, bw_estimate):
+            trace = estimate(obs)
+            assert trace.l_coarse_m.hex() == l_coarse_block[i].hex()
+            assert trace.m_chain == tuple(int(m[i]) for m in m_block)
+        negative_zeros += turns == 0.0 and math.copysign(1.0, turns) < 0.0
+    # With two or more stages some rows end in a coarse range of -0.0, so
+    # the sign is really checked; one stage adds phi_0 - phi_1 to +0.0.
+    assert negative_zeros > 0 if n > 2 else negative_zeros == 0

@@ -246,11 +246,30 @@ def _bw_plan_or_none(f_high, frac, n, c):
         return None
 
 
+def _numpy_scalars(args):
+    """The design arguments with every float as a numpy float64 scalar."""
+    return tuple(np.float64(a) if isinstance(a, float) else a for a in args)
+
+
+_EXPLICIT_NUMPY = st.builds(
+    FrequencyPlan,
+    freqs_hz=st.lists(st.floats(1e6, 1e11).map(np.float64), min_size=1, max_size=8).map(tuple),
+    c_m_s=_SPEEDS.map(np.float64),
+    range_budget_m=st.none() | st.floats(1.0, 1e6).map(np.float64),
+    ratio=st.none() | st.floats(1.0, 1e3).map(np.float64),
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(plan=st.one_of(
     _CONCERTO.map(lambda a: design_concerto_plan(*a)),
     _BW.map(lambda a: _bw_plan_or_none(*a)).filter(lambda p: p is not None),
     _EXPLICIT,
+    # numpy scalars in, as a caller computing the design inputs with numpy
+    # hands them over; the plan must still write a file it can read back
+    _CONCERTO.map(lambda a: design_concerto_plan(*_numpy_scalars(a))),
+    _BW.map(lambda a: _bw_plan_or_none(*_numpy_scalars(a))).filter(lambda p: p is not None),
+    _EXPLICIT_NUMPY,
 ))
 def test_plan_csv_round_trip_property(plan):
     again = plan_from_csv(plan_to_csv(plan))
