@@ -10,8 +10,12 @@ subcommand that takes ``--plan``.
 
 Every subcommand is one entry of ``SUBCOMMANDS``. ``main`` builds the parser
 of only the subcommand its first argument names, which parses and prints as
-the parser of all seven does; with no argument, a top-level flag or an
-unknown name it builds all seven.
+the parser of all six does; with no argument, a top-level flag or an
+unknown name it builds all six. It builds each of these parsers once per
+process and reuses it on later calls. Reuse is safe because parsing never
+changes a parser: ``parse_args`` fills a new namespace on every call,
+``_resolve`` writes only to that namespace, and help and usage text read
+the terminal width each time they are formatted.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import argparse
 import math
 import re
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +47,9 @@ from .freqdesign import (
 )
 from .simkit import (
     TrialConfig,
-    mix_seed,
     snr_threshold,
     sweep_range,
     sweep_snr,
-    synthesize_observation,
 )
 from .theory import crb
 
@@ -273,36 +274,6 @@ def _cmd_threshold(args):
     return 0
 
 
-def _cmd_bench(args):
-    if args.n_obs < 1:
-        raise ConfigError(f"--n-obs must be >= 1, got {args.n_obs}")
-    plan = _plan_for(args)
-    budget = plan.range_budget_m or plan.umr_m
-    if not math.isfinite(budget):
-        raise ConfigError("bench draws uniform truths and needs a finite range budget")
-    noise = NoiseSpec.from_snr_db(args.snr_db)
-    halfwidth = budget / 4.0
-    observations = []
-    for t in range(args.n_obs):
-        rng = np.random.default_rng(mix_seed(args.seed, t))
-        observations.append(
-            synthesize_observation(rng.uniform(-halfwidth, halfwidth), plan, noise, rng)
-        )
-    k_cell = repr(plan.range_budget_m) if plan.range_budget_m is not None else "nan"
-    lines = ["method,n,k_m,estimates_per_s"]
-    for name in _split_methods(args.methods):
-        fn = lookup_estimator(name)
-        fn(observations[0])  # warm caches outside the timed region
-        start = time.perf_counter()
-        for obs in observations:
-            fn(obs)
-        elapsed = time.perf_counter() - start
-        rate = len(observations) / elapsed if elapsed > 0 else math.inf
-        lines.append(f"{name},{plan.n},{k_cell},{rate!r}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 _DESIGN = ("f_high", "f_low", "n", "k", "c")
 
 #: Every subcommand: name -> (handler, help, the ``SETTINGS`` entries it
@@ -342,13 +313,6 @@ SUBCOMMANDS = {
         ("f_high", "f_low", "k", "c", "seed", "trials", "n_list", "p_th"), True, (
             ("--snr-grid", {"default": "0..20",
                             "help": "comma list or inclusive range a..b (dB), ascending"}),
-        )),
-    "bench": (
-        _cmd_bench, "per-estimate throughput for each method",
-        _DESIGN + ("seed", "methods"), True, (
-            ("--plan", {}),
-            ("--snr-db", {"type": float, "default": 20.0}),
-            ("--n-obs", {"type": int, "default": 2000}),
         )),
 }
 
@@ -398,10 +362,24 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
+#: The parsers ``main`` has built, keyed by subcommand name, or None for the
+#: parser of every subcommand.
+_PARSERS: dict = {}
+
+
+def _parser(command: str | None) -> _Parser:
+    """``build_parser(command)``, built on the first call for its key only."""
+    key = command if command in SUBCOMMANDS else None
+    parser = _PARSERS.get(key)
+    if parser is None:
+        parser = _PARSERS[key] = build_parser(key)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:

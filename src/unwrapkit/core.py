@@ -141,6 +141,8 @@ class PhaseObservation:
             raise InvalidArgumentError("phases must be finite")
         if not np.all((arr > -math.pi) & (arr <= math.pi)):
             raise InvalidArgumentError("phases must lie in (-pi, pi]")
+        if self.truth_m is not None and not math.isfinite(self.truth_m):
+            raise InvalidArgumentError(f"truth_m must be finite, got {self.truth_m!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "phases_rad", arr)
 

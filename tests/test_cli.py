@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unwrapkit import FrequencyPlan, plan_from_csv, plan_to_csv, true_phases
+from unwrapkit import FrequencyPlan, cli, plan_from_csv, plan_to_csv, true_phases
 from unwrapkit.cli import (
     CONFIG_KEYS,
     SETTINGS,
@@ -46,7 +46,6 @@ BASE_ARGS = {
     "simulate": DESIGN_TAIL + ["--snr-db-list", "10", "--methods", "concerto,bw,ef"],
     "sweep-range": DESIGN_TAIL[:6] + ["--k-list", "1,144"],
     "threshold": DESIGN_TAIL[:4] + ["--k", "144", "--n-list", "3..5", "--snr-grid", "0..3"],
-    "bench": DESIGN_TAIL,
 }
 
 
@@ -192,8 +191,7 @@ SETTING_VALUES = {
     "truth_m": "1.5", "p_th": "0.2",
 }
 #: Arguments outside the table that keep each run short or complete.
-EXTRA_ARGS = {"crb": ["--snr-db", "20"], "bench": ["--n-obs", "20"],
-              "threshold": ["--snr-grid", "0..30"]}
+EXTRA_ARGS = {"crb": ["--snr-db", "20"], "threshold": ["--snr-grid", "0..30"]}
 
 
 def _flag(dest):
@@ -216,9 +214,6 @@ def test_setting_as_flag_or_config_key(tmp_path, capsys, command, dest):
     assert code == 0
     code, by_config, _ = _run(capsys, argv + ["--config", str(cfg)])
     assert code == 0
-    if command == "bench":  # the last column is a measured rate
-        rate = re.compile(r",[^,\n]*$", flags=re.M)
-        by_flag, by_config = rate.sub("", by_flag), rate.sub("", by_config)
     assert by_config == by_flag
 
 
@@ -227,8 +222,7 @@ def test_setting_as_flag_or_config_key(tmp_path, capsys, command, dest):
     ("crb", "--seed"), ("crb", "--trials"), ("crb", "--quiet"),
     ("estimate", "--config"), ("estimate", "--seed"), ("estimate", "--trials"),
     ("estimate", "--quiet"), ("simulate", "--quiet"), ("sweep-range", "--k"),
-    ("threshold", "--n"), ("threshold", "--quiet"), ("bench", "--trials"),
-    ("bench", "--quiet"),
+    ("threshold", "--n"), ("threshold", "--quiet"),
 ])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
     plan_file = tmp_path / "plan.csv"
@@ -249,8 +243,8 @@ def _parse(parser, argv, capsys):
     return result, captured.out, captured.err
 
 
-def test_one_command_parser_reads_argv_as_the_full_parser(capsys):
-    full = build_parser()
+def _parser_argvs():
+    """Argvs that reach every parse outcome: values, usage errors and help."""
     argvs = [
         DESIGN_ARGS, DESIGN_ARGS + ["--pattern", "bw", "--bogus"],
         ["estimate", "--plan", "p.csv", "--phases", "-0.3,0.1", "--method", "ef",
@@ -258,14 +252,19 @@ def test_one_command_parser_reads_argv_as_the_full_parser(capsys):
         ["estimate", "--plan", "p.csv", "--phases=-0.3,0.1", "-0.2"],
         ["estimate", "--phases", "0.1"], ["design", "estimate"], ["design", "--pat", "bw"],
         ["simulate", "--truth-halfwidth", "36", "--plan", "p.csv"], ["sweep-range", "--quiet"],
-        ["bench", "--n-obs", "x"],
     ]
     for command in SUBCOMMANDS:
         tail = [v for flag in SUBCOMMAND_FLAGS[command] if flag != "--quiet"
                 for v in (flag, SETTING_VALUES.get(flag[2:].replace("-", "_"), "1"))]
         argvs += [[command, *BASE_ARGS[command]], [command, *tail], [command, "--quiet", "1"],
                   [command, *BASE_ARGS[command], "--bogus"], [command, "-h"]]
-    for argv in argvs:
+    return argvs
+
+
+def test_one_command_parser_reads_argv_as_the_full_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line below wraps by width
+    full = build_parser()
+    for argv in _parser_argvs():
         assert _parse(build_parser(argv[0]), argv, capsys) == _parse(full, argv, capsys), argv
     # every subcommand's help text and the top-level usage line
     for command, parser in _subparsers().items():
@@ -276,11 +275,57 @@ def test_one_command_parser_reads_argv_as_the_full_parser(capsys):
         assert one.format_usage() == full.format_usage()
     code, _, err = _run(capsys, ["design", "--bogus"])
     assert code == 1
-    assert err.splitlines()[:3] == [
-        "usage: unwrapkit [-h]",
-        "                 {design,estimate,crb,simulate,sweep-range,threshold,bench}",
-        "                 ...",
+    assert err.splitlines() == [
+        "usage: unwrapkit [-h] {design,estimate,crb,simulate,sweep-range,threshold} ...",
+        "unwrapkit: error: unrecognized arguments: --bogus",
     ]
+
+
+def test_second_main_call_matches_the_first(capsys, monkeypatch):
+    # the first call builds each parser, the second reuses it
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for argv in _parser_argvs():
+        assert _run(capsys, argv) == _run(capsys, argv), argv
+    assert set(cli._PARSERS) == set(SUBCOMMANDS)
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
+    estimate = ["estimate", "--plan", str(plan_file), "--phases", ",".join(["0.1"] * 51)]
+    code, out, _ = _run(capsys, estimate + ["--truth-m", "1.5"])
+    assert code == 0 and "delta_m,nan" not in out
+    code, out, _ = _run(capsys, estimate)
+    assert code == 0 and out.endswith("\ndelta_m,nan\n")
+    # a usage error, then the valid call it came from
+    code, _, err = _run(capsys, estimate + ["--bogus"])
+    assert code == 1 and "unrecognized arguments: --bogus" in err
+    assert _run(capsys, estimate) == (0, out, "")
+    # a config file's values do not outlive the call that read it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 10\nseed = 3\nmethods = concerto\nsnr_db_list = 12\n")
+    code, out, _ = _run(capsys, ["simulate", *DESIGN_TAIL, "--config", str(cfg)])
+    assert code == 0
+    assert [row.split(",")[1:3] for row in out.splitlines()[1:]] == [["concerto", "10"]]
+    flags = ["simulate", *DESIGN_TAIL, "--snr-db-list", "20", "--trials", "7"]
+    code, out, _ = _run(capsys, flags)
+    assert code == 0
+    assert [row.split(",")[1:3] for row in out.splitlines()[1:]] == [
+        ["concerto", "7"], ["bw", "7"], ["ef", "7"]]
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    assert _run(capsys, flags) == (0, out, "")
+    # help is laid out at the width of the call that prints it
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = _run(capsys, ["estimate", "-h"])
+    monkeypatch.setenv("COLUMNS", "120")
+    wide = _run(capsys, ["estimate", "-h"])
+    assert narrow != wide
+    assert _parse(build_parser("estimate"), ["estimate", "-h"], capsys) == wide
+    # an unknown first token shares the parser of every subcommand
+    for k in range(50):
+        _run(capsys, [f"unknown-{k}"])
+    assert len(cli._PARSERS) <= len(SUBCOMMANDS) + 1
+    assert set(cli._PARSERS) <= set(SUBCOMMANDS) | {None}
 
 
 def test_readme_lists_every_flag_and_config_key():
@@ -381,20 +426,26 @@ def test_exit_codes(tmp_path, capsys):
         assert code == 2
         assert message in err and "ratio-mismatch" in err
         assert out == ""
-    # no observations to time
-    code, _, err = _run(capsys, [
-        "bench", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",
-        "--k", "144", "--c", "3e8", "--n-obs", "0",
-    ])
-    assert code == 1
-    assert "--n-obs" in err
-    # bench draws truths over the range budget, infinite for one frequency
+    # uniform truths are drawn over the range budget, infinite for one frequency
     one = tmp_path / "one.csv"
     one.write_text(plan_to_csv(FrequencyPlan((2.4e9,))))
-    code, out, err = _run(capsys, ["bench", "--plan", str(one), "--n-obs", "5"])
+    code, out, err = _run(capsys, [
+        "simulate", "--plan", str(one), "--snr-db-list", "20", "--trials", "5",
+    ])
     assert code == 1
-    assert "bench draws uniform truths and needs a finite range budget" in err
+    assert "uniform truth policy needs a finite range budget" in err
     assert out == ""
+    # a truth must be finite, as a phase must
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
+    phases = ",".join(["0.1"] * 51)
+    for truth in ("nan", "inf", "-inf"):
+        code, out, err = _run(capsys, [
+            "estimate", "--plan", str(plan_file), "--phases", phases, f"--truth-m={truth}",
+        ])
+        assert code == 2
+        assert "truth_m must be finite" in err
+        assert out == ""
     # a truth half-width beyond UMR/2 would give a meaningless MSE
     code, _, err = _run(capsys, [
         "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",
@@ -481,16 +532,15 @@ def test_threshold_cli(capsys):
 
 
 def test_bench_cli(capsys):
-    code, out, _ = _run(capsys, [
+    # bench is retired: single-estimate throughput is criterion 9's and perfbench's
+    assert "bench" not in SUBCOMMANDS
+    code, out, err = _run(capsys, [
         "bench", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",
-        "--k", "144", "--c", "3e8", "--methods", "concerto,bw",
-        "--n-obs", "50", "--seed", "1",
+        "--k", "144", "--c", "3e8", "--methods", "concerto,bw", "--n-obs", "50",
     ])
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "method,n,k_m,estimates_per_s"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[3]) > 0
+    assert code == 1
+    assert "argument command: invalid choice: 'bench'" in err
+    assert out == ""
 
 
 def test_help_exits_zero(capsys):
@@ -505,7 +555,7 @@ BAD_VALUES = ("-1", "0", "nan", "inf", "-inf", "1e400", "", "5..1", "1..1e400", 
 
 #: More values per flag, small enough that any run stays fast: at most 64
 #: frequencies, plans whose ``ef`` scan is short, ranges at most 50 wide.
-#: ``--trials`` and ``--n-obs`` take a value from ``BOUNDED`` only.
+#: ``--trials`` takes a value from ``BOUNDED`` only.
 FLAG_VALUES = {
     "--f-high": ("2.5e9",),
     "--f-low": ("2.4e9", "2.6e9"),
@@ -527,7 +577,7 @@ FLAG_VALUES = {
     "--pattern": ("concerto", "bw"),
     "--phases": ("0.1,-0.2,0.3,0.1,-0.2,0.3,0.1,-0.2", "-0.3,0.1", "4.0", "0.1,,0.2"),
 }
-BOUNDED = {"--trials": ("5", "20", "1", "-1", "nan"), "--n-obs": ("5", "1", "0", "-1")}
+BOUNDED = {"--trials": ("5", "20", "1", "-1", "nan")}
 
 
 @settings(

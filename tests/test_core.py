@@ -172,6 +172,10 @@ def test_observation_validation():
         PhaseObservation(phases_rad=[0.1, -0.2, -PI], plan=plan)
     with pytest.raises(InvalidArgumentError):
         PhaseObservation(phases_rad=[0.1, -0.2, 3.5], plan=plan)
+    for truth in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(InvalidArgumentError, match="truth_m must be finite"):
+            PhaseObservation(phases_rad=[0.1, -0.2, PI], plan=plan, truth_m=truth)
+    assert PhaseObservation(phases_rad=[0.1, -0.2, PI], plan=plan).truth_m is None
 
 
 # -- beat wavelengths and beat phases --------------------------------------
