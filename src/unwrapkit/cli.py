@@ -8,19 +8,17 @@ Output goes to standard output, or byte-identically to the file named by
 point; plan files written by ``design`` are accepted back by every
 subcommand that takes ``--plan``.
 
-Every subcommand is one entry of ``SUBCOMMANDS``. ``main`` builds the parser
-of only the subcommand its first argument names, which parses and prints as
-the parser of all six does; with no argument, a top-level flag or an
-unknown name it builds all six. It builds each of these parsers once per
-process and reuses it on later calls. Reuse is safe because parsing never
-changes a parser: ``parse_args`` fills a new namespace on every call,
-``_resolve`` writes only to that namespace, and help and usage text read
-the terminal width each time they are formatted.
+Every subcommand is one entry of ``SUBCOMMANDS``. ``main`` builds the one
+parser of all six on its first call and reuses it on later calls. Reuse is
+safe because parsing never changes a parser: ``parse_args`` fills a new
+namespace on every call, ``_resolve`` writes only to that namespace, and
+help and usage text read the terminal width each time they are formatted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -77,9 +75,10 @@ SETTINGS = {
 CONFIG_KEYS = tuple(key for key, _, _, _ in SETTINGS.values())
 
 #: A long flag without ``=value``, and the start of a negative number or
-#: number list such as ``-0.3,0.1`` or ``-1e3``.
+#: number list such as ``-0.3,0.1``, ``-1e3``, ``-inf``, ``-Infinity`` or
+#: ``-nan`` (``float`` reads these words in any case).
 _BARE_FLAG = re.compile(r"--[\w-]+")
-_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|(inf(inity)?|nan)\b)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,21 +142,32 @@ def _require(args, *dests) -> None:
 MAX_RANGE_POINTS = 10_000
 
 
-def _parse_list(text: str, convert=float) -> list:
-    """Comma list of numbers, or an inclusive integer range 'a..b'."""
+def _integer(text: str) -> int:
+    """``text`` as an int; a non-integral number is refused, not truncated."""
+    value = float(text)
+    if int(value) != value:  # int() refuses inf and nan first
+        raise ValueError(f"{text.strip()!r} is not an integer")
+    return int(value)
+
+
+def _parse_list(text: str, read=float) -> list:
+    """Comma list of numbers read by ``read``, or an inclusive integer range 'a..b'.
+
+    A non-integral range bound is refused, not truncated.
+    """
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            lo_i, hi_i = int(float(lo)), int(float(hi))
+            lo_i, hi_i = _integer(lo), _integer(hi)
             if hi_i < lo_i:
                 raise ConfigError(f"empty range {text!r}")
             if hi_i - lo_i + 1 > MAX_RANGE_POINTS:
                 raise ConfigError(
                     f"range {text!r} has {hi_i - lo_i + 1} points, more than {MAX_RANGE_POINTS}"
                 )
-            return [convert(v) for v in range(lo_i, hi_i + 1)]
-        return [convert(float(part)) for part in text.split(",") if part.strip()]
+            return [read(v) for v in range(lo_i, hi_i + 1)]
+        return [read(part) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
 
@@ -261,7 +271,7 @@ def _cmd_sweep_range(args):
 
 def _cmd_threshold(args):
     _require(args, "f_high", "f_low", "k", "n_list")
-    n_list = _parse_list(args.n_list, int)
+    n_list = _parse_list(args.n_list, _integer)
     grid = _parse_list(args.snr_grid)
     lines = ["n,threshold_db"]
     for n in n_list:
@@ -317,21 +327,13 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand, or only of ``command`` if it names one.
-
-    A one-command parser reads its command's argv as the full parser does.
-    Its usage line still lists every subcommand; the full parser leaves that
-    metavar unset, as its 'required' and 'invalid choice' errors name the
-    subcommand argument by it.
-    """
-    one = command in SUBCOMMANDS
+def build_parser() -> _Parser:
+    """The parser of every subcommand."""
     # --help shows the docstring without its last paragraph, on the build
     description = __doc__.rsplit("\n\n", 1)[0]
     parser = _Parser(prog="unwrapkit", description=description, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None)
-    for name in (command,) if one else SUBCOMMANDS:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in SUBCOMMANDS:
         func, help_text, settings, config, extra = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
@@ -362,24 +364,16 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
-#: The parsers ``main`` has built, keyed by subcommand name, or None for the
-#: parser of every subcommand.
-_PARSERS: dict = {}
-
-
-def _parser(command: str | None) -> _Parser:
-    """``build_parser(command)``, built on the first call for its key only."""
-    key = command if command in SUBCOMMANDS else None
-    parser = _PARSERS.get(key)
-    if parser is None:
-        parser = _PARSERS[key] = build_parser(key)
-    return parser
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()``, built on the first call only."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser(argv[0] if argv else None).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:

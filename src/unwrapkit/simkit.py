@@ -202,6 +202,9 @@ class TrialConfig:
         methods = tuple(self.methods)
         if not methods:
             raise ConfigError("methods must be non-empty")
+        for i, name in enumerate(methods):
+            if name in methods[:i]:
+                raise ConfigError(f"method {name!r} is listed more than once")
         object.__setattr__(self, "methods", methods)
         if self.truth_policy not in ("uniform", "fixed"):
             raise ConfigError(f"unknown truth_policy {self.truth_policy!r}")
@@ -282,9 +285,6 @@ class SimReport:
                 f"{r.mean_error_m!r},{r.mse_stderr_m2!r},{r.p_coarse_fail_stderr!r}"
             )
         return "\n".join(lines) + "\n"
-
-    def by_method(self, method: str) -> list:
-        return [r for r in self.rows if r.method == method]
 
 
 def _worker_count() -> int:
@@ -468,7 +468,6 @@ def sweep_range(
     trials: int,
     seed: int,
     c_m_s: float,
-    truth_fraction: float = SWEEP_TRUTH_FRACTION,
 ) -> SimReport:
     """Coarse-stage validity versus range budget K.
 
@@ -494,7 +493,7 @@ def sweep_range(
             seed=seed,
             methods=("concerto",),
             truth_policy="uniform",
-            truth_halfwidth_m=truth_fraction * k,
+            truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k,
         )
         report.rows.extend(run_trials(cfg, sweep_param=k).rows)
     return report
@@ -518,15 +517,12 @@ def snr_threshold(
     seed: int,
     p_threshold: float = 1e-3,
     c_m_s: float = 299_792_458.0,
-    truth_fraction: float = SWEEP_TRUTH_FRACTION,
-    stop_at_first: bool = True,
 ) -> ThresholdResult:
     """Scan an ascending SNR grid for the reliability threshold.
 
     The threshold is the smallest grid SNR at which the three-stage
-    estimator's P(|error| > lambda_0) is at or below ``p_threshold``. With
-    ``stop_at_first`` the scan ends at the first passing point; the
-    evaluated rows are returned either way.
+    estimator's P(|error| > lambda_0) is at or below ``p_threshold``. The
+    scan ends at the first passing point and returns the rows it evaluated.
     """
     grid = [float(s) for s in snr_db_grid]
     if not grid:
@@ -546,12 +542,11 @@ def snr_threshold(
             seed=seed,
             methods=("concerto",),
             truth_policy="uniform",
-            truth_halfwidth_m=truth_fraction * k_m,
+            truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k_m,
         )
         row = run_trials(cfg, sweep_param=snr_db).rows[0]
         rows.append(row)
         if row.p_fail_lambda0 <= p_threshold:
             threshold = snr_db
-            if stop_at_first:
-                break
+            break
     return ThresholdResult(threshold_db=threshold, rows=rows)

@@ -3,7 +3,10 @@ output determinism."""
 
 import argparse
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -151,13 +154,15 @@ def test_simulate_smoke_and_reproducibility(capsys):
 
 
 def test_snr_range_syntax(capsys):
-    code, out, _ = _run(capsys, [
+    argv = [
         "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "8",
-        "--k", "144", "--c", "3e8", "--methods", "concerto",
-        "--snr-db-list", "10..12", "--trials", "50", "--seed", "1",
-    ])
+        "--k", "144", "--c", "3e8", "--methods", "concerto", "--trials", "50", "--seed", "1",
+    ]
+    code, out, _ = _run(capsys, argv + ["--snr-db-list", "10..12"])
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + 3
+    # integral bounds may be written in any float form
+    assert _run(capsys, argv + ["--snr-db-list", "1e1..1.2e1"]) == (0, out, "")
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -261,32 +266,19 @@ def _parser_argvs():
     return argvs
 
 
-def test_one_command_parser_reads_argv_as_the_full_parser(capsys, monkeypatch):
+def test_second_main_call_matches_the_first(capsys, monkeypatch):
+    # the first call builds the parser, every later call reuses it
     monkeypatch.setenv("COLUMNS", "80")  # the usage line below wraps by width
-    full = build_parser()
-    for argv in _parser_argvs():
-        assert _parse(build_parser(argv[0]), argv, capsys) == _parse(full, argv, capsys), argv
-    # every subcommand's help text and the top-level usage line
-    for command, parser in _subparsers().items():
-        one = build_parser(command)
-        sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == [command]
-        assert sub.choices[command].format_help() == parser.format_help()
-        assert one.format_usage() == full.format_usage()
+    cli._parser.cache_clear()
+    for argv in _parser_argvs() + [[], ["--help"], ["no-such-command"]]:
+        assert _run(capsys, argv) == _run(capsys, argv), argv
+    assert cli._parser.cache_info().misses == 1
     code, _, err = _run(capsys, ["design", "--bogus"])
     assert code == 1
     assert err.splitlines() == [
         "usage: unwrapkit [-h] {design,estimate,crb,simulate,sweep-range,threshold} ...",
         "unwrapkit: error: unrecognized arguments: --bogus",
     ]
-
-
-def test_second_main_call_matches_the_first(capsys, monkeypatch):
-    # the first call builds each parser, the second reuses it
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    for argv in _parser_argvs():
-        assert _run(capsys, argv) == _run(capsys, argv), argv
-    assert set(cli._PARSERS) == set(SUBCOMMANDS)
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
@@ -312,7 +304,7 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert [row.split(",")[1:3] for row in out.splitlines()[1:]] == [
         ["concerto", "7"], ["bw", "7"], ["ef", "7"]]
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    cli._parser.cache_clear()
     assert _run(capsys, flags) == (0, out, "")
     # help is laid out at the width of the call that prints it
     monkeypatch.setenv("COLUMNS", "40")
@@ -320,12 +312,13 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "120")
     wide = _run(capsys, ["estimate", "-h"])
     assert narrow != wide
-    assert _parse(build_parser("estimate"), ["estimate", "-h"], capsys) == wide
-    # an unknown first token shares the parser of every subcommand
-    for k in range(50):
-        _run(capsys, [f"unknown-{k}"])
-    assert len(cli._PARSERS) <= len(SUBCOMMANDS) + 1
-    assert set(cli._PARSERS) <= set(SUBCOMMANDS) | {None}
+    assert _parse(build_parser(), ["estimate", "-h"], capsys) == wide
+    # no argv, a top-level flag and an unknown first token share that parser
+    misses = cli._parser.cache_info().misses
+    for argv in [[], ["--help"]] + [[f"unknown-{k}"] for k in range(50)]:
+        _run(capsys, argv)
+    assert cli._parser.cache_info().misses == misses
+    assert cli._parser.cache_info().currsize == 1
 
 
 def test_readme_lists_every_flag_and_config_key():
@@ -439,12 +432,18 @@ def test_exit_codes(tmp_path, capsys):
     plan_file = tmp_path / "plan.csv"
     _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
     phases = ",".join(["0.1"] * 51)
-    for truth in ("nan", "inf", "-inf"):
+    for truth in ("--truth-m=nan", "--truth-m=inf", "--truth-m=-inf", "--truth-m -inf"):
         code, out, err = _run(capsys, [
-            "estimate", "--plan", str(plan_file), "--phases", phases, f"--truth-m={truth}",
+            "estimate", "--plan", str(plan_file), "--phases", phases, *truth.split(),
         ])
         assert code == 2
         assert "truth_m must be finite" in err
+        assert out == ""
+    # a bare flag takes -inf, -infinity and -nan, in any case, as its value
+    for snr_db in ("--snr-db=-inf", "--snr-db -inf", "--snr-db -Infinity", "--snr-db -NaN"):
+        code, out, err = _run(capsys, ["crb", "--plan", str(plan_file), *snr_db.split()])
+        assert code == 2
+        assert "snr_db must be finite" in err
         assert out == ""
     # a truth half-width beyond UMR/2 would give a meaningless MSE
     code, _, err = _run(capsys, [
@@ -504,6 +503,25 @@ def test_exit_codes(tmp_path, capsys):
         ])
         assert code == 1
         assert "cannot parse number list" in err
+    # a non-integral range bound or count is refused, not truncated
+    for argv, value in (
+        (["simulate", "--n", "8", "--k", "144", "--snr-db-list", "1.5..3.7"], "'1.5'"),
+        (["threshold", "--k", "144", "--n-list", "3.7"], "'3.7'"),
+    ):
+        code, out, err = _run(capsys, argv + [
+            "--f-high", "2.5e9", "--f-low", "2.4e9", "--trials", "10",
+        ])
+        assert code == 1
+        assert "cannot parse number list" in err and f"{value} is not an integer" in err
+        assert out == ""
+    # an estimator named twice would print its rows twice
+    code, out, err = _run(capsys, [
+        "simulate", *DESIGN_TAIL, "--snr-db-list", "20", "--trials", "5",
+        "--methods", "concerto,bw,concerto",
+    ])
+    assert code == 1
+    assert "method 'concerto' is listed more than once" in err
+    assert out == ""
 
 
 def test_sweep_range_cli(capsys):
@@ -546,6 +564,20 @@ def test_bench_cli(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys):
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
+    argv = ["estimate", "--plan", str(plan_file), "--phases", ",".join(["-0.3"] + ["0.1"] * 50)]
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "unwrapkit.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _run(capsys, argv)[1] != ""
 
 
 # -- no argv ends in a traceback ---------------------------------------------

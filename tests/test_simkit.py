@@ -130,6 +130,9 @@ def test_run_trials_config_errors():
         TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=0, seed=0)
     with pytest.raises(ConfigError):
         TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0, methods=())
+    with pytest.raises(ConfigError, match="method 'bw' is listed more than once"):
+        TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0,
+                    methods=("bw", "concerto", "bw"))
     with pytest.raises(ConfigError):
         TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0, truth_policy="fixed")
     cfg = TrialConfig(
