@@ -93,8 +93,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_utf8(path: str, error) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # bytes: text mode's newline translation changes nothing splitlines sees
+        with open(Path(path), "rb", buffering=0) as f:
+            return f.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -212,7 +213,7 @@ def _cmd_design(args):
 def _cmd_estimate(args):
     plan = _load_plan(args.plan)
     try:
-        phases = np.array([float(p) for p in args.phases.split(",")])
+        phases = np.array(list(map(float, args.phases.split(","))))
     except ValueError as exc:
         raise ConfigError(f"cannot parse phase list: {exc}") from exc
     obs = PhaseObservation(phases_rad=phases, plan=plan, truth_m=args.truth_m)
@@ -224,8 +225,8 @@ def _cmd_estimate(args):
         f"l_coarse_m,{trace.l_coarse_m!r}",
         f"l_residual_m,{trace.l_residual_m!r}",
         f"l_mid_m,{trace.l_mid_m!r}",
-        "m_chain," + ";".join(str(v) for v in trace.m_chain),
-        "fold_ints," + ";".join(str(v) for v in trace.fold_ints),
+        "m_chain," + ";".join([str(v) for v in trace.m_chain]),
+        "fold_ints," + ";".join([str(v) for v in trace.fold_ints]),
         f"delta_m,{'nan' if trace.delta_m is None else repr(trace.delta_m)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)

@@ -82,10 +82,10 @@ class FrequencyPlan:
     def __post_init__(self):
         # Numbers are stored as Python floats, so that numpy scalars handed
         # in do not reach the plan file as "np.float64(...)".
-        freqs = tuple(float(f) for f in self.freqs_hz)
+        freqs = tuple(map(float, self.freqs_hz))
         if len(freqs) == 0:
             raise InvalidArgumentError("plan needs at least one frequency")
-        if not all(math.isfinite(f) and f != 0.0 for f in freqs):
+        if 0.0 in freqs or not all(map(math.isfinite, freqs)):
             raise InvalidArgumentError("frequencies must be finite and nonzero")
         c_m_s = float(self.c_m_s)
         if not (math.isfinite(c_m_s) and c_m_s > 0.0):
@@ -137,9 +137,9 @@ class PhaseObservation:
             raise InvalidArgumentError(
                 f"expected {self.plan.n} phases, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("phases must be finite")
-        if not np.all((arr > -math.pi) & (arr <= math.pi)):
+        if not (arr.min() > -math.pi and arr.max() <= math.pi):  # NaN fails this too
+            if not np.all(np.isfinite(arr)):
+                raise InvalidArgumentError("phases must be finite")
             raise InvalidArgumentError("phases must lie in (-pi, pi]")
         if self.truth_m is not None and not math.isfinite(self.truth_m):
             raise InvalidArgumentError(f"truth_m must be finite, got {self.truth_m!r}")
@@ -153,10 +153,14 @@ class PhaseObservation:
 
 def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
     """Synthetic wavelengths of the plan, one per frequency below f_0."""
-    if plan.n < 2:
+    return beat_wavelengths_of(np.array(plan.wavelengths_m))
+
+
+def beat_wavelengths_of(lam: np.ndarray) -> np.ndarray:
+    """:func:`beat_wavelengths` of a plan whose wavelengths are ``lam``."""
+    if lam.size < 2:
         raise InvalidArgumentError("beat quantities need at least two frequencies")
-    lam = np.array(plan.wavelengths_m)
-    if np.any(lam[1:] == lam[0]):
+    if (lam[1:] == lam[0]).any():
         raise DegeneratePlanError("repeated wavelength: beat wavelength undefined")
     return lam[1:] * lam[0] / (lam[1:] - lam[0])
 

@@ -39,7 +39,7 @@ from .core import (
     TWO_PI,
     FrequencyPlan,
     PhaseObservation,
-    beat_wavelengths,
+    beat_wavelengths_of,
     wrap_inplace,
     wrap_phase,
 )
@@ -127,13 +127,16 @@ class EstimateTrace:
 
 
 def build_w(n: int) -> np.ndarray:
-    """Residual-stage weight matrix for an n-frequency plan, shape (n-1, n-1)."""
+    """Residual-stage weight matrix for an n-frequency plan, shape (n-1, n-1):
+    (n * min(j, k) - j * k) / n for j, k = 1..n-1, one operation at a time."""
     if n < 2:
         raise InvalidArgumentError(f"weight matrix needs n >= 2, got {n}")
     idx = np.arange(1, n, dtype=float)
-    j = idx[:, None]
-    k = idx[None, :]
-    return (n * np.minimum(j, k) - j * k) / n
+    w = np.minimum.outer(idx, idx)
+    w *= n
+    w -= np.multiply.outer(idx, idx)
+    w /= n
+    return w
 
 
 class PlanConstants:
@@ -144,20 +147,23 @@ class PlanConstants:
     stages that need neither (fold integers, final fit) also work on plans
     with fewer than two frequencies or repeated wavelengths; a stage that
     does need them raises the degenerate-plan error it always raised.
+    Every constant comes from one frequency array, where ``c / f_i`` rounds as
+    in ``plan.wavelengths_m``: each has the bits of the formula it replaced.
     """
 
     def __init__(self, plan: FrequencyPlan):
         self.plan = plan
-        lam = np.array(plan.wavelengths_m)
+        freqs = np.array(plan.freqs_hz)
+        self.lam = lam = plan.c_m_s / freqs
         self.lam0 = float(lam[0])
         self.inv_lam = 1.0 / lam
         self.inv_sq_sum = float(self.inv_lam @ self.inv_lam)
         self.two_pi_inv_lam = TWO_PI * self.inv_lam
-        self.delta_f = -np.diff(np.array(plan.freqs_hz))
+        self.delta_f = -(freqs[1:] - freqs[:-1])
 
     @cached_property
     def beat_lam(self) -> np.ndarray:
-        return beat_wavelengths(self.plan)
+        return beat_wavelengths_of(self.lam)
 
     @cached_property
     def beat_ratios(self) -> list:
@@ -208,6 +214,20 @@ def plan_constants(plan: FrequencyPlan) -> PlanConstants:
         return constants
 
 
+_WRAP_EDGES = np.array([-math.pi, math.pi])
+_WRAP_STEP = np.array([TWO_PI, -0.0, -TWO_PI])
+
+
+def _wrap_one(r: np.ndarray) -> np.ndarray:
+    """:func:`wrap_inplace` of one observation, bit for bit: once ``fmod`` leaves
+    |r| < 2*pi at most one of its masked steps applies, so adding +2*pi, -0.0
+    (a no-op, even on a zero's sign) or -2*pi as r <= -pi, -pi < r <= pi or
+    r > pi does the same in fewer passes."""
+    np.fmod(r, TWO_PI, out=r)
+    r += _WRAP_STEP.take(_WRAP_EDGES.searchsorted(r))
+    return r
+
+
 def _chain(k: PlanConstants, phases: np.ndarray):
     """Shared chain kernel on one observation (N,) or a row block (B, N).
 
@@ -226,6 +246,8 @@ def _chain(k: PlanConstants, phases: np.ndarray):
     then lies in [-2*pi, 2*pi], where wrap_inplace's ``fmod`` changes only
     -2*pi (to -0.0) and 2*pi (to +0.0, which its subtraction also gives), so
     its two corrections alone, with -2*pi mapped to -0.0, give the same bits.
+    concerto's residual stage on one observation wraps with :func:`_wrap_one`
+    likewise; row blocks keep wrap_inplace, cheaper there on large arrays.
     """
     ratios = k.beat_ratios
     if phases.ndim == 1:
@@ -440,6 +462,7 @@ def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
     The residual stage wraps the adjacent differences of the phases shifted
     by the coarse range in one step; wrapping each compensated phase first,
     as :func:`compensate_phases` does, changes no difference modulo 2*pi.
+    That wrap is :func:`_wrap_one`, with the bits of :func:`wrap_inplace`.
 
     Assumes |true range| < UMR/2; the only raised errors are degenerate-plan
     conditions propagated from the stage kernels.
@@ -452,7 +475,7 @@ def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
 
     dphi = phases[:-1] - phases[1:]
     dphi -= l_c * k.step_two_pi_inv_lam
-    l_r = float(_residual(k, wrap_inplace(dphi)))
+    l_r = float(_residual(k, _wrap_one(dphi)))
     l_m = l_c + l_r
 
     phase_turns = phases * _INV_TWO_PI

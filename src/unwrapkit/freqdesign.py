@@ -210,37 +210,39 @@ def plan_from_csv(text: str) -> FrequencyPlan:
     """Parse a plan written by :func:`plan_to_csv`.
 
     A malformed file raises :class:`InvalidArgumentError` naming the line or
-    header key at fault.
+    header key at fault, and so does a file whose rows are not the ``n`` its
+    header gives.
     """
     meta = {}
     freqs = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             for item in line.lstrip("#").strip().split(","):
                 if "=" in item:
                     key, value = item.split("=", 1)
                     meta[key.strip()] = value.strip()
             continue
-        if not saw_header:
-            if line.lower().startswith("index,"):
-                saw_header = True
-                continue
+        if saw_header:
+            parts = line.split(",", 2)
+            if len(parts) < 2:
+                raise InvalidArgumentError(f"plan file: malformed row {line!r}")
+            try:
+                freqs.append(float(parts[1]))
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"plan file: line {lineno}: f_hz {parts[1]!r} is not a number"
+                ) from None
+            continue
+        if not line.lower().startswith("index,"):
             raise InvalidArgumentError(f"plan file: unexpected line {line!r}")
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise InvalidArgumentError(f"plan file: malformed row {line!r}")
-        try:
-            freqs.append(float(parts[1]))
-        except ValueError:
-            raise InvalidArgumentError(
-                f"plan file: line {lineno}: f_hz {parts[1]!r} is not a number"
-            ) from None
+        saw_header = True
     if not freqs:
         raise InvalidArgumentError("plan file contains no frequency rows")
+    if "n" in meta and _csv_float(meta["n"], "n") != len(freqs):
+        raise InvalidArgumentError(f"plan file: n={meta['n']} in the header but {len(freqs)} rows")
 
     def _opt_float(key):
         value = meta.get(key, "none")

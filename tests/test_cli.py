@@ -125,6 +125,20 @@ def test_estimate_phase_list_starting_negative(tmp_path, capsys):
     assert split == joined
 
 
+@pytest.mark.parametrize("command", ["estimate", "crb"])
+def test_plan_file_with_rows_missing_is_refused(tmp_path, capsys, command):
+    # design output with its last two rows deleted: a 6-row file saying n=8
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, ["design"] + DESIGN_TAIL + ["--out", str(plan_file)])
+    lines = plan_file.read_text().splitlines(keepends=True)
+    plan_file.write_text("".join(lines[:-2]))
+    tail = {"estimate": ["--phases", "0.1,-0.2,0.3,0.1,-0.2,0.3"], "crb": ["--snr-db", "20"]}
+    code, out, err = _run(capsys, [command, "--plan", str(plan_file)] + tail[command])
+    assert code == 2
+    assert out == ""
+    assert "n=8 in the header but 6 rows" in err
+
+
 def test_crb_subcommand(tmp_path, capsys):
     plan_file = tmp_path / "plan.csv"
     _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])

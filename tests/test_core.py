@@ -166,12 +166,17 @@ def test_observation_validation():
     obs = PhaseObservation(phases_rad=[0.1, -0.2, PI], plan=plan, truth_m=1.0)
     assert obs.n == 3
     assert not obs.phases_rad.flags.writeable
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="expected 3 phases"):
         PhaseObservation(phases_rad=[0.1, -0.2], plan=plan)
-    with pytest.raises(InvalidArgumentError):
-        PhaseObservation(phases_rad=[0.1, -0.2, -PI], plan=plan)
-    with pytest.raises(InvalidArgumentError):
-        PhaseObservation(phases_rad=[0.1, -0.2, 3.5], plan=plan)
+    # the message names the first check a phase fails: finiteness, then range
+    for bad, message in ((math.nan, "phases must be finite"),
+                         (math.inf, "phases must be finite"),
+                         (-math.inf, "phases must be finite"),
+                         (3.5, r"phases must lie in \(-pi, pi\]"),
+                         (-PI, r"phases must lie in \(-pi, pi\]")):
+        for phases in ([0.1, -0.2, bad], [bad, 3.5, -PI]):
+            with pytest.raises(InvalidArgumentError, match=message):
+                PhaseObservation(phases_rad=phases, plan=plan)
     for truth in (math.nan, math.inf, -math.inf, np.float64("nan")):
         with pytest.raises(InvalidArgumentError, match="truth_m must be finite"):
             PhaseObservation(phases_rad=[0.1, -0.2, PI], plan=plan, truth_m=truth)

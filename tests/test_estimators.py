@@ -47,7 +47,15 @@ from unwrapkit import (
     wrap_phase,
 )
 from unwrapkit import estimators
-from unwrapkit.estimators import _bw_rows, _chain, _concerto_rows, plan_constants
+from unwrapkit.core import wrap_inplace
+from unwrapkit.estimators import (
+    PlanConstants,
+    _bw_rows,
+    _chain,
+    _concerto_rows,
+    _wrap_one,
+    plan_constants,
+)
 
 C = 3e8
 TWO_PI = 2.0 * math.pi
@@ -90,6 +98,81 @@ def test_w_symmetric_positive_definite(n):
 def test_build_w_rejects_tiny_n():
     with pytest.raises(InvalidArgumentError):
         build_w(1)
+
+
+# -- per-plan constants -----------------------------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_plan_constants_match_the_per_plan_formulas_bit_for_bit():
+    # PlanConstants builds every constant from one array of frequencies; each
+    # must have the bits of the formula it replaced, written out here on the
+    # plan's wavelength tuple.
+    for n in range(3, 65):
+        for k_m in (150.0, 14_400.0):
+            plan = design_concerto_plan(2500e6, 2400e6, n, k_m, C)
+            k = PlanConstants(plan)
+            lam = np.array(plan.wavelengths_m)
+            two_pi_inv_lam = TWO_PI * (1.0 / lam)
+            delta_f = -np.diff(np.array(plan.freqs_hz))
+            j = np.arange(1, n, dtype=float)[:, None]
+            w = (n * np.minimum(j, j.T) - j * j.T) / n
+            assert np.array_equal(_bits(build_w(n)), _bits(w))
+            beat_lam = lam[1:] * lam[0] / (lam[1:] - lam[0])
+            assert np.array_equal(_bits(k.beat_lam), _bits(beat_lam))
+            assert np.array_equal(_bits(k.beat_lam), _bits(beat_wavelengths(plan)))
+            assert k.beat_ratios == (beat_lam[:-1] / beat_lam[1:]).tolist()
+            assert k.beat_last.hex() == float(beat_lam[-1]).hex()
+            w_delta_f = w @ delta_f
+            assert np.array_equal(_bits(k.w_delta_f), _bits(w_delta_f))
+            assert k.residual_denom.hex() == float(delta_f @ w_delta_f).hex()
+            step = two_pi_inv_lam[:-1] - two_pi_inv_lam[1:]
+            assert np.array_equal(_bits(k.step_two_pi_inv_lam), _bits(step))
+            for name, want in (("inv_lam", 1.0 / lam), ("two_pi_inv_lam", two_pi_inv_lam),
+                               ("delta_f", delta_f), ("lam0", lam[0]),
+                               ("inv_sq_sum", (1.0 / lam) @ (1.0 / lam))):
+                assert np.array_equal(_bits(getattr(k, name)), _bits(want)), name
+
+
+@pytest.mark.parametrize("freqs, error, residual_refused", [
+    ((C / 0.7,), InvalidArgumentError, True),              # one frequency
+    ((2.5e9, 2.5e9, 2.4e9), DegeneratePlanError, False),   # a repeated wavelength
+    ((1e9, 1e9, 1e9), DegeneratePlanError, True),          # residual denominator 0
+])
+def test_degenerate_plans_fold_and_fit_but_refuse_the_chain(freqs, error, residual_refused):
+    plan = FrequencyPlan(freqs_hz=freqs, c_m_s=C)
+    obs = PhaseObservation(phases_rad=np.full(len(freqs), 0.3), plan=plan)
+    fold = fold_integers(obs, 1.25)
+    assert np.isfinite(ls_refine(obs, fold))
+    for stage in (coarse_estimate, concerto_estimate, bw_estimate):
+        with pytest.raises(error):
+            stage(obs)
+    if residual_refused:
+        with pytest.raises(error):
+            residual_estimate(obs.phases_rad, plan)
+    else:
+        assert np.isfinite(residual_estimate(obs.phases_rad, plan))
+
+
+#: Residual differences on and next to 0, +-pi and +-2*pi, shifted by up to
+#: 200 turns (K = 14,400 m reaches about 154), and anywhere in that span.
+_WRAP_EDGES = st.sampled_from([s * m * math.pi for m in (0, 1, 2) for s in (1.0, -1.0)]).flatmap(
+    lambda x: st.sampled_from([x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)])
+)
+_RESIDUAL_DIFFS = st.one_of(
+    _WRAP_EDGES,
+    st.builds(lambda turns, x: TWO_PI * turns + x, st.integers(-200, 200), _WRAP_EDGES),
+    st.floats(-400 * math.pi, 400 * math.pi),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(_RESIDUAL_DIFFS, min_size=1, max_size=64))
+def test_one_observation_residual_wrap_matches_wrap_inplace(xs):
+    arr = np.array(xs)
+    assert np.array_equal(_bits(_wrap_one(arr.copy())), _bits(wrap_inplace(arr.copy())))
 
 
 # -- chain ------------------------------------------------------------------

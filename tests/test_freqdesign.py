@@ -212,6 +212,23 @@ def test_plan_csv_round_trip():
             plan_from_csv(f"# {key}=xyz\nindex,f_hz,lambda_m\n0,2.5e9,0.12\n")
 
 
+def test_plan_csv_refuses_rows_that_disagree_with_n():
+    text = plan_to_csv(design_concerto_plan(2500e6, 2400e6, 8, 144.0, C))
+    lines = text.splitlines(keepends=True)
+    assert lines[0].startswith("# pattern=concerto,n=8,")
+    for rows in (6, 7):
+        with pytest.raises(InvalidArgumentError, match=f"n=8 in the header but {rows} rows"):
+            plan_from_csv("".join(lines[:2 + rows]))
+    with pytest.raises(InvalidArgumentError, match="n=8 in the header but 9 rows"):
+        plan_from_csv(text + "8,2.3e9,0.13\n")
+    with pytest.raises(InvalidArgumentError, match="plan file: n 'xyz' is not a number"):
+        plan_from_csv(text.replace("n=8,", "n=xyz,", 1))
+    # a file without n= still loads, and so does a file whose n= is right
+    no_n = lines[0].replace("n=8,", "")
+    assert plan_from_csv(no_n + "".join(lines[1:])) == plan_from_csv(text)
+    assert plan_from_csv(no_n + "".join(lines[1:8])).n == 6
+
+
 def _field_bits(plan):
     """Every field of a plan, each float as its bit pattern."""
     def bits(v):
