@@ -9,8 +9,11 @@ Three estimators are provided and registered by name:
                    least-squares residual over adjacent wrapped differences
                    of the compensated phases, and a final scalar
                    least-squares fit over all unwrapped phases;
-  * ``ef``       - excess fractions: exhaustive scoring of every candidate
-                   location at lambda_0, refined by the same final fit.
+  * ``ef``       - excess fractions: the best-scoring candidate location at
+                   lambda_0, refined by the same final fit. Every candidate
+                   is screened on a few fraction columns, and only those the
+                   screen cannot rule out get a full score; the winner is
+                   the one exhaustive scoring finds, bit for bit.
 
 No matrix inversion or decomposition happens at estimate time: the residual
 weight matrix has a closed-form entry formula and the final fit is a scalar
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -139,6 +142,24 @@ def build_w(n: int) -> np.ndarray:
     return w
 
 
+class _lazy:
+    """A per-instance constant computed on first read and kept in the
+    instance dict, where it then shadows this non-data descriptor. Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock: threads
+    racing on a first read each compute the same value, and one is kept."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class PlanConstants:
     """The per-plan constants of every stage kernel.
 
@@ -161,25 +182,25 @@ class PlanConstants:
         self.two_pi_inv_lam = TWO_PI * self.inv_lam
         self.delta_f = -(freqs[1:] - freqs[:-1])
 
-    @cached_property
+    @_lazy
     def beat_lam(self) -> np.ndarray:
         return beat_wavelengths_of(self.lam)
 
-    @cached_property
+    @_lazy
     def beat_ratios(self) -> list:
         """Lambda_i / Lambda_{i+1} for consecutive beat wavelengths."""
         return (self.beat_lam[:-1] / self.beat_lam[1:]).tolist()
 
-    @cached_property
+    @_lazy
     def beat_last(self) -> float:
         return float(self.beat_lam[-1])
 
-    @cached_property
+    @_lazy
     def w_delta_f(self) -> np.ndarray:
         """W @ delta_f, with delta_f_i = f_i - f_{i+1}."""
         return build_w(self.plan.n) @ self.delta_f
 
-    @cached_property
+    @_lazy
     def residual_denom(self) -> float:
         """delta_f' W delta_f."""
         denom = float(self.delta_f @ self.w_delta_f)
@@ -187,18 +208,31 @@ class PlanConstants:
             raise DegeneratePlanError("residual stage denominator is zero")
         return denom
 
-    @cached_property
+    @_lazy
     def step_two_pi_inv_lam(self) -> np.ndarray:
         """2*pi/lambda_i - 2*pi/lambda_{i+1}: how a range shift moves each
         adjacent phase difference."""
         return self.two_pi_inv_lam[:-1] - self.two_pi_inv_lam[1:]
 
-    @cached_property
-    def ef_inv_lam_tile(self) -> np.ndarray:
-        """1/lambda_i for i >= 1 down every row of the longest ``ef`` scan
-        chunk (0.4 MB), so the scan multiplies two contiguous arrays."""
-        rest = self.inv_lam[1:]
-        return np.tile(rest, (_ef_rows(rest.size), 1))
+    @_lazy
+    def umr_m(self) -> float:
+        return self.plan.umr_m
+
+    @_lazy
+    def ef_screen_index(self) -> np.ndarray:
+        """Indices i >= 1 of the ``ef`` screen's fraction columns, spread
+        evenly over 1..N-1 (all of them when N-1 <= C), as a (C, 1) column."""
+        cols = self.plan.n - 1
+        if cols <= _EF_SCREEN_COLUMNS:
+            index = np.arange(1, cols + 1)
+        else:
+            index = 1 + np.linspace(0, cols - 1, _EF_SCREEN_COLUMNS).round().astype(np.intp)
+        return index[:, None]
+
+    @_lazy
+    def ef_screen_inv_lam(self) -> np.ndarray:
+        """1/lambda_i at the ``ef`` screen's columns, as a (C, 1) column."""
+        return self.inv_lam.take(self.ef_screen_index)
 
 
 def plan_constants(plan: FrequencyPlan) -> PlanConstants:
@@ -507,10 +541,20 @@ def _concerto_rows(k: PlanConstants, phases: np.ndarray):
     return l_c, _fit(k, fold, phase_turns)
 
 
-#: Elements (candidates x (N-1)) in the longest chunk of the ``ef`` candidate
-#: scan: each of the scan's float64 chunk buffers holds this many, 0.4 MB, so
-#: one chunk's buffers stay in a core's L2 cache (1,024 candidates at N = 51).
+#: Elements (candidates x columns) in the longest chunk of the ``ef`` candidate
+#: scan: each of the scan's two float64 chunk buffers holds this many, 0.4 MB,
+#: so one chunk's buffers stay in a core's L2 cache.
 _EF_CHUNK_ELEMENTS = 51_200
+#: Fraction columns of the ``ef`` screen: every candidate is first scored on
+#: this many of its N-1 folding fractions, spread evenly over them.
+_EF_SCREEN_COLUMNS = 20
+#: The screen's bound is widened by this factor plus 1e-15 per frequency,
+#: and by this floor for squares that underflow (see :func:`ef_estimate`).
+_EF_SLACK = 1.0 + 1e-12
+_EF_FLOOR = 1e-290
+#: Candidates per block of the ``ef`` scan: a block's ranges and partial
+#: scores, 2 MiB each, are screened before any of them gets a full score.
+_EF_BLOCK = 262_144
 _EF_LOCAL = threading.local()
 
 
@@ -520,18 +564,18 @@ def _ef_rows(cols: int) -> int:
     return max(1, _EF_CHUNK_ELEMENTS // max(cols, 1))
 
 
-def _ef_scratch(cols: int):
-    """The calling thread's three (rows, cols) buffers of the ``ef`` scan,
-    rows = :func:`_ef_rows`: a chunk's folding fractions, their rounded
-    values, and the targets row tiled down the rows.
+def _ef_scratch():
+    """The calling thread's two flat buffers of ``_EF_CHUNK_ELEMENTS`` floats
+    for the ``ef`` scan: a chunk's folding fractions and their rounded values,
+    viewed as (columns, candidates) in the screen and as (candidates, N-1)
+    in the full score.
 
     Per-thread buffers keep the scan reentrant without paying an allocation
     (and page faults) per estimate.
     """
     cached = getattr(_EF_LOCAL, "buffers", None)
-    if cached is None or cached[0].shape[1] != cols:
-        cached = tuple(np.empty((_ef_rows(cols), cols)) for _ in range(3))
-        _EF_LOCAL.buffers = cached
+    if cached is None:
+        cached = _EF_LOCAL.buffers = (np.empty(_EF_CHUNK_ELEMENTS), np.empty(_EF_CHUNK_ELEMENTS))
     return cached
 
 
@@ -550,18 +594,36 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     fractions to the nearest integers; the winner is refined by the final
     least-squares fit. Cost is linear in k.
 
-    The scan is exact and has one path for every k. Candidates are scored
-    in as few equal chunks as the per-thread buffers of :func:`_ef_scratch`
-    hold. Each chunk's arithmetic runs on contiguous arrays: its ranges are
-    copied down the rows and multiplied by the plan's tiled inverse
-    wavelengths, then the targets row, tiled once per call, is subtracted.
-    Each score is ``einsum`` over its own C-contiguous row of N-1 squared
-    fractions, so it does not depend on the chunking; ``argmin`` within a
-    chunk and the strict ``<`` across chunks keep the first candidate on an
-    exact tie.
+    The scan is exact and has one path for every k. Candidates go in blocks
+    of ``_EF_BLOCK``, and each block in chunks of the per-thread buffers of
+    :func:`_ef_scratch`:
+
+    * a screen scores every candidate on C = ``_EF_SCREEN_COLUMNS`` fraction
+      columns spread over the N-1 (all of them when N-1 <= C), laid out
+      (C, candidates). Each fraction is computed as in the full score,
+      ``l/lambda_i - target_i - rint(...)``, so it has the same bits;
+    * the bound is the lower of the best full score so far and the full
+      score, as a dot product, of the block's lowest partial score;
+    * only a candidate whose partial score is at most the bound times
+      ``_EF_SLACK`` plus 1e-15 per frequency, plus ``_EF_FLOOR``, gets a full
+      score: ``einsum`` over its own C-contiguous row of N-1 squared
+      fractions, so it does not depend on the chunking. ``argmin`` over a
+      block's survivors, which keep candidate order, and the strict ``<``
+      across blocks keep the first candidate on an exact tie.
+
+    Nothing that could win or tie is pruned. A partial score sums a subset
+    of the full score's non-negative squares, and every sum here is within
+    (N-1+C) rounding steps of u = 2**-53, relative, of its exact value; so a
+    winning candidate's partial score is at most the bound times
+    1 + (3(N-1)+C)u (1 + 1.9e-14 at N = 51), inside the slack for any N.
+    Squares that underflow err by about 1e-323 each, inside the floor. The
+    trace is bit for bit that of scoring every candidate in full. Where most
+    candidates survive (low SNR), a call costs that full scoring plus the
+    screen.
     """
     plan = obs.plan
-    umr_m = plan.umr_m
+    k = plan_constants(plan)
+    umr_m = k.umr_m
     if k_m is None:
         k_m = plan.range_budget_m if plan.range_budget_m is not None else umr_m
     if not (k_m > 0.0 and math.isfinite(k_m)):
@@ -570,41 +632,68 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
         raise InvalidArgumentError(
             f"search range {k_m!r} m exceeds the unambiguous range {umr_m!r} m"
         )
-    k = plan_constants(plan)
     lam0 = k.lam0
-    phases = obs.phases_rad
-    phi0_turns = float(phases[0]) * _INV_TWO_PI
     m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)
     m_hi = math.floor(k_m / (2.0 * lam0) + 1.0)
     if m_hi < m_lo:
         raise InvalidArgumentError("empty candidate set")
-
+    phases = obs.phases_rad
     phase_turns = phases * _INV_TWO_PI
-    inv_lam_tile = k.ef_inv_lam_tile
-    frac, scratch, targets = _ef_scratch(inv_lam_tile.shape[1])
-    total = m_hi - m_lo + 1
-    chunks = (total + frac.shape[0] - 1) // frac.shape[0]
-    rows = (total + chunks - 1) // chunks
-    targets = targets[:rows]
-    targets[...] = phase_turns[1:]
+    phi0_turns = float(phase_turns[0])
+    frac, scratch = _ef_scratch()
+
+    screen_inv_lam = k.ef_screen_inv_lam
+    screen_targets = phase_turns.take(k.ef_screen_index)
+    screen_width = screen_inv_lam.shape[0]
+    inv_lam, targets = k.inv_lam[1:], phase_turns[1:]
+    width = inv_lam.size
+    full_rows = _ef_rows(width)
+    slack = _EF_SLACK + 1e-15 * plan.n
     best_score = math.inf
     best_m = m_lo
-    for start in range(m_lo, m_hi + 1, rows):
-        cand = np.arange(start, min(start + rows, m_hi + 1), dtype=float)
-        l_cand = (cand + phi0_turns) * lam0
-        count = cand.size
-        f = frac[:count]
-        s = scratch[:count]
-        f[...] = l_cand[:, None]
-        np.multiply(f, inv_lam_tile[:count], out=f)
-        np.subtract(f, targets[:count], out=f)
-        np.rint(f, out=s)
-        np.subtract(f, s, out=f)
-        scores = np.einsum("ij,ij->i", f, f)
+    for start in range(m_lo, m_hi + 1, _EF_BLOCK):
+        # the screen: the block's candidate ranges and partial scores
+        l_all = np.arange(start, min(start + _EF_BLOCK, m_hi + 1), dtype=float)
+        l_all += phi0_turns
+        l_all *= lam0
+        total = l_all.size
+        partial_scores = np.empty(total)
+        chunks = -(-total // _ef_rows(screen_width))
+        rows = -(-total // chunks)
+        for lo in range(0, total, rows):
+            l_cand = l_all[lo:lo + rows]
+            count = l_cand.size
+            f = frac[:screen_width * count].reshape(screen_width, count)
+            s = scratch[:screen_width * count].reshape(screen_width, count)
+            np.multiply(screen_inv_lam, l_cand, out=f)
+            f -= screen_targets
+            np.rint(f, out=s)
+            f -= s
+            np.einsum("ij,ij->j", f, f, out=partial_scores[lo:lo + count])
+
+        # the bound, and the full scores of the survivors
+        f = np.multiply(inv_lam, l_all[partial_scores.argmin()], out=frac[:width])
+        f -= targets
+        f -= np.rint(f, out=scratch[:width])
+        limit = min(best_score, f.dot(f)) * slack + _EF_FLOOR
+        survivors = (partial_scores <= limit).nonzero()[0]
+        if not survivors.size:
+            continue
+        scores = np.empty(survivors.size)
+        for lo in range(0, survivors.size, full_rows):
+            l_cand = l_all.take(survivors[lo:lo + full_rows])
+            count = l_cand.size
+            f = frac[:count * width].reshape(count, width)
+            s = scratch[:count * width].reshape(count, width)
+            np.multiply(l_cand[:, None], inv_lam, out=f)
+            f -= targets
+            np.rint(f, out=s)
+            f -= s
+            np.einsum("ij,ij->i", f, f, out=scores[lo:lo + count])
         local = int(scores.argmin())
         if scores[local] < best_score:
             best_score = float(scores[local])
-            best_m = start + local
+            best_m = start + int(survivors[local])
 
     l_cand_best = (best_m + phi0_turns) * lam0
     fold = _fold(k, l_cand_best, phase_turns)

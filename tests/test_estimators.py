@@ -622,14 +622,36 @@ def test_ef_scan_matches_one_pass_oracle():
                 l_true = rng.uniform(-k_m / 2, k_m / 2)
                 _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), k_m)
 
-    # candidate counts around the buffers' row count; an odd count is all a
-    # symmetric search range gives, so the N = 48 plan's odd row count
-    # covers the count equal to it. The scan splits a count into equal
-    # chunks; truths sit on the candidates either side of the first chunk
-    # boundary.
-    for n in (51, 48):
+    # 0 and -5 dB at K = 1,440 m: most of the 12,003 candidates survive the
+    # screen, so their full scores fill many chunks
+    plan = design_concerto_plan(2500e6, 2400e6, 51, 1440.0, C)
+    for snr_db in (0.0, -5.0):
+        noise = NoiseSpec.from_snr_db(snr_db)
+        for _ in range(3):
+            l_true = rng.uniform(-720.0, 720.0)
+            _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), 1440.0)
+
+    # plans with N - 1 <= C, whose every fraction column the screen covers
+    width = estimators._EF_SCREEN_COLUMNS
+    for plan in (FrequencyPlan((2.5e9, 2.49e9), c_m_s=C),
+                 design_concerto_plan(2500e6, 2400e6, 3, 144.0, C),
+                 design_concerto_plan(2500e6, 2400e6, width + 1, 1440.0, C)):
+        assert plan.n - 1 <= width
+        k_m = plan.range_budget_m or plan.umr_m
+        for snr_db in (-5.0, 0.0, 20.0, 40.0):
+            noise = NoiseSpec.from_snr_db(snr_db)
+            for _ in range(3):
+                l_true = rng.uniform(-k_m / 2, k_m / 2)
+                _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), k_m)
+
+    # candidate counts around the screen's chunk rows; an odd count is all a
+    # symmetric search range gives, so the N = 18 plan, whose screen covers
+    # its 17 columns in an odd row count, covers the count equal to it. The
+    # scan splits a count into equal chunks; truths sit on the candidates
+    # either side of the first chunk boundary.
+    for n in (51, 18):
         plan = design_concerto_plan(2500e6, 2400e6, n, 1440.0, C)
-        cap = estimators._ef_rows(n - 1)
+        cap = estimators._ef_rows(min(width, n - 1))
         lam0 = plan.wavelengths_m[0]
         for count in (cap - 1, cap, cap + 1, 2 * cap + 1):
             if count % 2 == 0:
@@ -661,9 +683,31 @@ def test_ef_scan_matches_one_pass_oracle():
 
 
 
+def test_ef_blocks_match_one_pass_oracle(monkeypatch):
+    # Candidate blocks shrunk so that 12,003 candidates span several: truths
+    # on the candidates either side of a block boundary, where a later block
+    # finds every partial score above the earlier best, and at 0 dB, where
+    # the bound stays loose; one frequency ties every block.
+    rng = np.random.default_rng(20261020)
+    plan = design_concerto_plan(2500e6, 2400e6, 51, 1440.0, C)
+    lam0 = plan.wavelengths_m[0]
+    m_lo = math.ceil(-1440.0 / (2.0 * lam0) - 1.0)
+    for block in (1000, 2561):
+        monkeypatch.setattr(estimators, "_EF_BLOCK", block)
+        for snr_db, index in ((40.0, block - 1), (40.0, block), (40.0, 2 * block),
+                              (0.0, None), (-5.0, None)):
+            noise = NoiseSpec.from_snr_db(snr_db)
+            l_true = (rng.uniform(-720.0, 720.0) if index is None
+                      else (m_lo + index + 0.1) * lam0)
+            _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), 1440.0)
+        one = FrequencyPlan((2.4e9,), c_m_s=C)
+        obs = PhaseObservation(np.array([0.7]), one, truth_m=3.0)
+        _assert_ef_matches_oracle(obs, 3 * block * one.wavelengths_m[0])
+
+
 def test_ef_threads_match_sequential():
-    # Each thread scans in its own chunk buffers; the plan's inverse-wavelength
-    # tile is shared, and on a fresh plan it is first built under contention.
+    # Each thread scans in its own chunk buffers; the plan's screen constants
+    # are shared, and on a fresh plan they are first built under contention.
     plan = design_concerto_plan(2500e6, 2400e6, 51, 1440.0, C)
     rng = np.random.default_rng(20261019)
     noise = NoiseSpec.from_snr_db(10.0)

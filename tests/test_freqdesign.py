@@ -178,6 +178,12 @@ def test_validate_plan_violations():
     )
     assert any("umr-below-budget" in v for v in validate_plan(broke_budget))
 
+    # c / f overflows to inf for a subnormal frequency, so lambda * f != c:
+    # the wavelength-consistency check can report, and must keep doing so
+    overflow = FrequencyPlan(freqs_hz=(2.4e9, 1e-320), c_m_s=C)
+    assert math.isinf(overflow.wavelengths_m[1])
+    assert validate_plan(overflow) == ["wavelength-consistency: index 1"]
+
 
 def test_design_round_trip_random_draws():
     # Physically sensible envelope: carriers up to 10 GHz, fractional
