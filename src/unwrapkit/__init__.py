@@ -33,7 +33,6 @@ from .estimators import (
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
-    cost_grid_oracle,
     ef_estimate,
     fold_integers,
     lookup_estimator,
@@ -90,7 +89,6 @@ __all__ = [
     "compensate_phases",
     "concerto_estimate",
     "concerto_mse",
-    "cost_grid_oracle",
     "crb",
     "design_bw_plan",
     "design_concerto_plan",

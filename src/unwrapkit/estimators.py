@@ -32,6 +32,7 @@ recovered from a noisy real value. Ties are measure-zero but deterministic.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from functools import partial
@@ -234,6 +235,21 @@ class PlanConstants:
         """1/lambda_i at the ``ef`` screen's columns, as a (C, 1) column."""
         return self.inv_lam.take(self.ef_screen_index)
 
+    @_lazy
+    def ef_screen_rows(self) -> int:
+        """Candidates in the longest chunk of the ``ef`` screen."""
+        return _ef_rows(self.ef_screen_index.shape[0])
+
+    @_lazy
+    def ef_full_rows(self) -> int:
+        """Candidates in the longest chunk of the ``ef`` full scores."""
+        return _ef_rows(self.plan.n - 1)
+
+    @_lazy
+    def ef_slack(self) -> float:
+        """The factor that widens the ``ef`` screen's bound."""
+        return _EF_SLACK + 1e-15 * self.plan.n
+
 
 def plan_constants(plan: FrequencyPlan) -> PlanConstants:
     """The plan's :class:`PlanConstants`, built once and kept on the plan.
@@ -365,65 +381,6 @@ def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
     return float(_residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:])))
 
 
-def _alignment_cost(l_grid: np.ndarray, freqs: np.ndarray, comp: np.ndarray, c: float) -> np.ndarray:
-    ang = (TWO_PI / c) * np.outer(l_grid, freqs) - comp[None, :]
-    z = np.exp(1j * ang).sum(axis=1)
-    return (z * z.conj()).real
-
-
-def cost_grid_oracle(
-    compensated_rad,
-    plan: FrequencyPlan,
-    span_m: float | None = None,
-    step_m: float | None = None,
-) -> float:
-    """Brute-force residual estimate: grid search over the alignment cost.
-
-    Maximizes |sum_i exp(j(2*pi*f_i*L/c - phi_i))|^2 on a grid spanning
-    ``span_m`` with spacing ``step_m`` (defaults 2c/B and c/(200B)), then
-    refines around the best grid point by golden-section search to well
-    below step/100. Slow by construction; exists as an independent check
-    of :func:`residual_estimate`.
-    """
-    comp = np.asarray(compensated_rad, dtype=float)
-    c = plan.c_m_s
-    b = plan.bandwidth_hz
-    if b <= 0.0:
-        raise DegeneratePlanError("grid oracle needs a positive bandwidth")
-    if span_m is None:
-        span_m = 2.0 * c / b
-    if step_m is None:
-        step_m = c / (200.0 * b)
-    if step_m <= 0.0:
-        raise InvalidArgumentError("step must be positive")
-    if span_m < c / b:
-        raise InvalidArgumentError("span must cover at least c/B")
-    freqs = np.array(plan.freqs_hz)
-    grid = np.arange(-span_m / 2.0, span_m / 2.0 + step_m / 2.0, step_m)
-    costs = _alignment_cost(grid, freqs, comp, c)
-    x0 = float(grid[int(np.argmax(costs))])
-
-    # Golden-section refinement; 40 halvings shrink the bracket far below step/100.
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b_hi = x0 - step_m, x0 + step_m
-    x1 = b_hi - gr * (b_hi - a)
-    x2 = a + gr * (b_hi - a)
-    f1 = float(_alignment_cost(np.array([x1]), freqs, comp, c)[0])
-    f2 = float(_alignment_cost(np.array([x2]), freqs, comp, c)[0])
-    for _ in range(40):
-        if f1 < f2:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + gr * (b_hi - a)
-            f2 = float(_alignment_cost(np.array([x2]), freqs, comp, c)[0])
-        else:
-            b_hi = x2
-            x2, f2 = x1, f1
-            x1 = b_hi - gr * (b_hi - a)
-            f1 = float(_alignment_cost(np.array([x1]), freqs, comp, c)[0])
-    return (a + b_hi) / 2.0
-
-
 def _fold(k: PlanConstants, l_m, phase_turns: np.ndarray) -> np.ndarray:
     """Fold-integer kernel: integer-valued floats round(l_m/lambda_i - phi_i/2pi)
     for one range and phases (N,), or a (B, 1) column of ranges and (B, N)."""
@@ -542,9 +499,12 @@ def _concerto_rows(k: PlanConstants, phases: np.ndarray):
 
 
 #: Elements (candidates x columns) in the longest chunk of the ``ef`` candidate
-#: scan: each of the scan's two float64 chunk buffers holds this many, 0.4 MB,
-#: so one chunk's buffers stay in a core's L2 cache.
-_EF_CHUNK_ELEMENTS = 51_200
+#: scan: each of the scan's two float64 chunk buffers holds this many, 0.2 MB,
+#: so one chunk's buffers stay well inside a core's L2 cache. A screen chunk
+#: holds at most 1,280 candidates (C = 20), and a block of more than that is
+#: split into equal chunks of 641 or more, so the screen's cost per candidate
+#: is about the same at every search range.
+_EF_CHUNK_ELEMENTS = 25_600
 #: Fraction columns of the ``ef`` screen: every candidate is first scored on
 #: this many of its N-1 folding fractions, spread evenly over them.
 _EF_SCREEN_COLUMNS = 20
@@ -555,6 +515,12 @@ _EF_FLOOR = 1e-290
 #: Candidates per block of the ``ef`` scan: a block's ranges and partial
 #: scores, 2 MiB each, are screened before any of them gets a full score.
 _EF_BLOCK = 262_144
+#: numpy's ufunc buffer size, in elements, inside the screen's context. numpy
+#: iterates a broadcast operation, such as the screen's (C, 1) column times
+#: its (rows,) candidates, through its buffers, at 2-4 times the time per
+#: element, while 3 x rows is below the buffer size (8,192 by default): every
+#: screen chunk of 342 rows or more runs unbuffered at this size.
+_EF_SCREEN_BUFSIZE = 1024
 _EF_LOCAL = threading.local()
 
 
@@ -565,18 +531,50 @@ def _ef_rows(cols: int) -> int:
 
 
 def _ef_scratch():
-    """The calling thread's two flat buffers of ``_EF_CHUNK_ELEMENTS`` floats
-    for the ``ef`` scan: a chunk's folding fractions and their rounded values,
-    viewed as (columns, candidates) in the screen and as (candidates, N-1)
-    in the full score.
+    """The calling thread's ``ef`` scan state: two flat buffers of
+    ``_EF_CHUNK_ELEMENTS`` floats, a chunk's folding fractions and their
+    rounded values, viewed as (columns, candidates) in the screen and as
+    (candidates, N-1) in the full score; and the context the screen runs in.
 
     Per-thread buffers keep the scan reentrant without paying an allocation
-    (and page faults) per estimate.
+    (and page faults) per estimate. numpy keeps its ufunc settings in a
+    context variable, so the screen's buffer size lives in a context of its
+    own: a fresh one, with numpy's default settings but for a buffer size of
+    ``_EF_SCREEN_BUFSIZE``. Entering it costs a small fraction of setting and
+    restoring the caller's buffer size, and the caller's settings never
+    change; the screen runs under numpy's default floating-point error
+    handling, whatever the caller's. A context can be entered by one thread
+    at a time, hence one per thread.
     """
-    cached = getattr(_EF_LOCAL, "buffers", None)
+    cached = getattr(_EF_LOCAL, "state", None)
     if cached is None:
-        cached = _EF_LOCAL.buffers = (np.empty(_EF_CHUNK_ELEMENTS), np.empty(_EF_CHUNK_ELEMENTS))
+        context = contextvars.Context()
+        context.run(np.setbufsize, _EF_SCREEN_BUFSIZE)
+        cached = _EF_LOCAL.state = (
+            np.empty(_EF_CHUNK_ELEMENTS), np.empty(_EF_CHUNK_ELEMENTS), context)
     return cached
+
+
+def _ef_screen(frac, scratch, inv_lam, targets, l_all, max_rows, out):
+    """The ``ef`` screen of one block, run in the screen's context: ``out``
+    gets the partial score of each candidate range in ``l_all`` on the
+    fraction columns whose 1/lambda_i and phi_i/2pi are the (C, 1) columns
+    ``inv_lam`` and ``targets``, in equal chunks of at most ``max_rows``
+    candidates laid out (C, rows) in the buffers ``frac`` and ``scratch``."""
+    width = inv_lam.shape[0]
+    total = l_all.size
+    chunks = -(-total // max_rows)
+    rows = -(-total // chunks)
+    for lo in range(0, total, rows):
+        l_cand = l_all[lo:lo + rows]
+        count = l_cand.size
+        f = frac[:width * count].reshape(width, count)
+        s = scratch[:width * count].reshape(width, count)
+        np.multiply(inv_lam, l_cand, out=f)
+        f -= targets
+        np.rint(f, out=s)
+        f -= s
+        np.einsum("ij,ij->j", f, f, out=out[lo:lo + count])
 
 
 def _ef_chain(k: PlanConstants, phases: np.ndarray, l_final: float) -> np.ndarray:
@@ -600,10 +598,15 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
 
     * a screen scores every candidate on C = ``_EF_SCREEN_COLUMNS`` fraction
       columns spread over the N-1 (all of them when N-1 <= C), laid out
-      (C, candidates). Each fraction is computed as in the full score,
+      (C, candidates) in equal chunks of at most ``_EF_CHUNK_ELEMENTS``, in
+      the thread's screen context, where numpy runs them unbuffered. Each
+      fraction is computed as in the full score,
       ``l/lambda_i - target_i - rint(...)``, so it has the same bits;
     * the bound is the lower of the best full score so far and the full
-      score, as a dot product, of the block's lowest partial score;
+      score, as a dot product, of the block's lowest partial score. It is
+      computed from that candidate's folding integers, which are the ones
+      the final fit takes if the candidate wins (the distance to the
+      nearest integer is the same whichever way a tie rounds);
     * only a candidate whose partial score is at most the bound times
       ``_EF_SLACK`` plus 1e-15 per frequency, plus ``_EF_FLOOR``, gets a full
       score: ``einsum`` over its own C-contiguous row of N-1 squared
@@ -640,46 +643,41 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     phases = obs.phases_rad
     phase_turns = phases * _INV_TWO_PI
     phi0_turns = float(phase_turns[0])
-    frac, scratch = _ef_scratch()
+    frac, scratch, screen_context = _ef_scratch()
 
-    screen_inv_lam = k.ef_screen_inv_lam
     screen_targets = phase_turns.take(k.ef_screen_index)
-    screen_width = screen_inv_lam.shape[0]
     inv_lam, targets = k.inv_lam[1:], phase_turns[1:]
     width = inv_lam.size
-    full_rows = _ef_rows(width)
-    slack = _EF_SLACK + 1e-15 * plan.n
+    full_rows = k.ef_full_rows
+    slack = k.ef_slack
     best_score = math.inf
     best_m = m_lo
+    best_fold = None
     for start in range(m_lo, m_hi + 1, _EF_BLOCK):
         # the screen: the block's candidate ranges and partial scores
         l_all = np.arange(start, min(start + _EF_BLOCK, m_hi + 1), dtype=float)
         l_all += phi0_turns
         l_all *= lam0
-        total = l_all.size
-        partial_scores = np.empty(total)
-        chunks = -(-total // _ef_rows(screen_width))
-        rows = -(-total // chunks)
-        for lo in range(0, total, rows):
-            l_cand = l_all[lo:lo + rows]
-            count = l_cand.size
-            f = frac[:screen_width * count].reshape(screen_width, count)
-            s = scratch[:screen_width * count].reshape(screen_width, count)
-            np.multiply(screen_inv_lam, l_cand, out=f)
-            f -= screen_targets
-            np.rint(f, out=s)
-            f -= s
-            np.einsum("ij,ij->j", f, f, out=partial_scores[lo:lo + count])
+        partial_scores = np.empty(l_all.size)
+        screen_context.run(_ef_screen, frac, scratch, k.ef_screen_inv_lam, screen_targets,
+                           l_all, k.ef_screen_rows, partial_scores)
 
-        # the bound, and the full scores of the survivors
-        f = np.multiply(inv_lam, l_all[partial_scores.argmin()], out=frac[:width])
-        f -= targets
-        f -= np.rint(f, out=scratch[:width])
+        # the bound: the full score, as a dot product, of the lowest partial
+        # score's candidate, from the folding integers the final fit takes if
+        # it wins
+        star = int(partial_scores.argmin())
+        v = np.multiply(k.inv_lam, l_all[star])
+        v -= phase_turns
+        star_fold = _round_half_away_arr(v)
+        v -= star_fold
+        f = v[1:]
         limit = min(best_score, f.dot(f)) * slack + _EF_FLOOR
+
+        # the full scores of the survivors, over the spent partial scores
         survivors = (partial_scores <= limit).nonzero()[0]
         if not survivors.size:
             continue
-        scores = np.empty(survivors.size)
+        scores = partial_scores[:survivors.size]
         for lo in range(0, survivors.size, full_rows):
             l_cand = l_all.take(survivors[lo:lo + full_rows])
             count = l_cand.size
@@ -694,9 +692,10 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
         if scores[local] < best_score:
             best_score = float(scores[local])
             best_m = start + int(survivors[local])
+            best_fold = star_fold if survivors[local] == star else None
 
     l_cand_best = (best_m + phi0_turns) * lam0
-    fold = _fold(k, l_cand_best, phase_turns)
+    fold = _fold(k, l_cand_best, phase_turns) if best_fold is None else best_fold
     l_final = float(_fit(k, fold, phase_turns))
 
     return EstimateTrace(

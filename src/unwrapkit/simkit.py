@@ -150,7 +150,7 @@ def _synthesize_block(plan: FrequencyPlan, truths: np.ndarray, sigma: float, dra
     Raises the :func:`wrap_phase` error for a non-finite phase; wrapped
     finite phases always lie in (-pi, pi].
     """
-    ideal = np.divide.outer(TWO_PI * truths, np.array(plan.wavelengths_m))
+    ideal = np.divide.outer(TWO_PI * truths, plan_constants(plan).lam)
     if draws is not None:
         draws *= sigma
         ideal += draws

@@ -33,7 +33,6 @@ from unwrapkit import (
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
-    cost_grid_oracle,
     crb,
     design_concerto_plan,
     ef_estimate,
@@ -50,6 +49,8 @@ from unwrapkit import (
     wrap_phase,
 )
 from unwrapkit.estimators import build_w
+
+from grid_oracle import cost_grid_oracle
 
 C = 3e8
 TWO_PI = 2.0 * math.pi

@@ -31,7 +31,6 @@ from unwrapkit import (
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
-    cost_grid_oracle,
     design_concerto_plan,
     ef_estimate,
     fold_integers,
@@ -56,6 +55,8 @@ from unwrapkit.estimators import (
     _wrap_one,
     plan_constants,
 )
+
+from grid_oracle import cost_grid_oracle
 
 C = 3e8
 TWO_PI = 2.0 * math.pi
@@ -644,16 +645,20 @@ def test_ef_scan_matches_one_pass_oracle():
                 l_true = rng.uniform(-k_m / 2, k_m / 2)
                 _assert_ef_matches_oracle(synthesize_observation(l_true, plan, noise, rng), k_m)
 
-    # candidate counts around the screen's chunk rows; an odd count is all a
-    # symmetric search range gives, so the N = 18 plan, whose screen covers
-    # its 17 columns in an odd row count, covers the count equal to it. The
-    # scan splits a count into equal chunks; truths sit on the candidates
-    # either side of the first chunk boundary.
+    # candidate counts around the screen's chunk rows, and around the row
+    # count from which numpy runs a screen chunk unbuffered (3 x rows at
+    # least its buffer size); an odd count is all a symmetric search range
+    # gives, so the N = 18 plan, whose screen covers its 17 columns in an odd
+    # row count, covers the count equal to it. The scan splits a count into
+    # equal chunks; truths sit on the candidates either side of the first
+    # chunk boundary.
+    unbuffered = -(-estimators._EF_SCREEN_BUFSIZE // 3)
     for n in (51, 18):
         plan = design_concerto_plan(2500e6, 2400e6, n, 1440.0, C)
         cap = estimators._ef_rows(min(width, n - 1))
         lam0 = plan.wavelengths_m[0]
-        for count in (cap - 1, cap, cap + 1, 2 * cap + 1):
+        for count in (unbuffered - 1, unbuffered, unbuffered + 1,
+                      cap - 1, cap, cap + 1, 2 * cap + 1):
             if count % 2 == 0:
                 continue
             k_m = (count - 2) * lam0
@@ -681,6 +686,40 @@ def test_ef_scan_matches_one_pass_oracle():
         m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)
         assert ef_estimate(obs, k_m).l_coarse_m == (m_lo + 0.7 / TWO_PI) * lam0
 
+
+
+def test_ef_leaves_numpy_settings_as_found():
+    # The screen runs in a numpy context of its own: the caller's buffer size
+    # and error handling are the same after a return and after each refusal,
+    # and a thread's first estimate, which builds that context, leaves the
+    # thread's defaults alone.
+    obs = true_phases(3.0, PLAN51)
+
+    def settings():
+        return np.getbufsize(), np.geterr()
+
+    refused = (0.0, -1.0, math.inf, -math.inf, math.nan, 2 * PLAN51.umr_m)
+    with np.errstate(under="raise", invalid="ignore"):
+        np.setbufsize(4096)
+        before = settings()
+        ef_estimate(obs)
+        assert settings() == before
+        for k_m in refused:
+            with pytest.raises(InvalidArgumentError):
+                ef_estimate(obs, k_m)
+            assert settings() == before
+
+    seen = []
+
+    def first_estimate():
+        before = settings()
+        trace = ef_estimate(obs)
+        seen.append((before, settings(), trace.l_final_m))
+
+    thread = threading.Thread(target=first_estimate)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert seen == [(settings(), settings(), ef_estimate(obs).l_final_m)]
 
 
 def test_ef_blocks_match_one_pass_oracle(monkeypatch):
