@@ -12,8 +12,6 @@ from .core import (
     FrequencyPlan,
     NoiseSpec,
     PhaseObservation,
-    beat_wavelengths,
-    true_phases,
     wrap_phase,
 )
 from .errors import (
@@ -28,6 +26,7 @@ from .errors import (
 )
 from .estimators import (
     EstimateTrace,
+    beat_wavelengths,
     build_w,
     bw_estimate,
     coarse_estimate,
@@ -59,8 +58,9 @@ from .simkit import (
     sweep_range,
     sweep_snr,
     synthesize_observation,
+    true_phases,
 )
-from .theory import concerto_mse, crb, sigma_e
+from .theory import crb, sigma_e
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "coarse_estimate",
     "compensate_phases",
     "concerto_estimate",
-    "concerto_mse",
     "crb",
     "design_bw_plan",
     "design_concerto_plan",

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlanError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
 
 #: Default propagation speed (vacuum speed of light, m/s).
 C_VACUUM_M_S = 299_792_458.0
+
+#: Relative tolerance of the UMR bounds on a search range, truth or truth
+#: half-width: a designed plan's range budget K equals its UMR up to rounding.
+UMR_RTOL = 1e-9
 
 _PATTERN_KINDS = ("concerto", "bw", "explicit")
 
@@ -149,29 +153,6 @@ class PhaseObservation:
     @property
     def n(self) -> int:
         return self.plan.n
-
-
-def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
-    """Synthetic wavelengths of the plan, one per frequency below f_0."""
-    return beat_wavelengths_of(np.array(plan.wavelengths_m))
-
-
-def beat_wavelengths_of(lam: np.ndarray) -> np.ndarray:
-    """:func:`beat_wavelengths` of a plan whose wavelengths are ``lam``."""
-    if lam.size < 2:
-        raise InvalidArgumentError("beat quantities need at least two frequencies")
-    if (lam[1:] == lam[0]).any():
-        raise DegeneratePlanError("repeated wavelength: beat wavelength undefined")
-    return lam[1:] * lam[0] / (lam[1:] - lam[0])
-
-
-def true_phases(l_m: float, plan: FrequencyPlan) -> PhaseObservation:
-    """Noise-free wrapped phases of a target at range ``l_m``."""
-    if not math.isfinite(l_m):
-        raise InvalidArgumentError("range must be finite")
-    lam = np.array(plan.wavelengths_m)
-    phases = wrap_phase(TWO_PI * l_m / lam)
-    return PhaseObservation(phases_rad=phases, plan=plan, truth_m=float(l_m))
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ import numpy as np
 
 from .core import (
     TWO_PI,
+    UMR_RTOL,
     FrequencyPlan,
     PhaseObservation,
-    beat_wavelengths_of,
     wrap_inplace,
     wrap_phase,
 )
@@ -185,7 +185,12 @@ class PlanConstants:
 
     @_lazy
     def beat_lam(self) -> np.ndarray:
-        return beat_wavelengths_of(self.lam)
+        lam = self.lam
+        if lam.size < 2:
+            raise InvalidArgumentError("beat quantities need at least two frequencies")
+        if (lam[1:] == lam[0]).any():
+            raise DegeneratePlanError("repeated wavelength: beat wavelength undefined")
+        return lam[1:] * lam[0] / (lam[1:] - lam[0])
 
     @_lazy
     def beat_ratios(self) -> list:
@@ -262,6 +267,11 @@ def plan_constants(plan: FrequencyPlan) -> PlanConstants:
     except KeyError:
         constants = plan.__dict__["_constants"] = PlanConstants(plan)
         return constants
+
+
+def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
+    """Synthetic wavelengths of the plan, one per frequency below f_0."""
+    return plan_constants(plan).beat_lam.copy()
 
 
 _WRAP_EDGES = np.array([-math.pi, math.pi])
@@ -631,7 +641,7 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
         k_m = plan.range_budget_m if plan.range_budget_m is not None else umr_m
     if not (k_m > 0.0 and math.isfinite(k_m)):
         raise InvalidArgumentError("search range must be positive and finite")
-    if k_m > umr_m * (1.0 + 1e-9):
+    if k_m > umr_m * (1.0 + UMR_RTOL):
         raise InvalidArgumentError(
             f"search range {k_m!r} m exceeds the unambiguous range {umr_m!r} m"
         )

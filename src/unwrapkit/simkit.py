@@ -43,7 +43,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import TWO_PI, FrequencyPlan, NoiseSpec, PhaseObservation, wrap_phase
+from .core import TWO_PI, UMR_RTOL, FrequencyPlan, NoiseSpec, PhaseObservation, wrap_phase
 from .errors import (
     ConfigError,
     InfeasibleDesignError,
@@ -77,11 +77,13 @@ CHUNK_TRIALS = 2048
 #: 256-row blocks keep it flat.
 BLOCK_ROWS = 256
 
-CSV_HEADER = (
-    "sweep_param,method,n_trials,mse_m2,rmse_m,mse_db,"
-    "p_fail_lambda0,p_fail_stderr,p_coarse_fail,crb_m2,mean_error_m,"
-    "mse_stderr_m2,p_coarse_fail_stderr"
+#: The sweep CSV's columns, in order: each is a :class:`SimRow` attribute.
+CSV_COLUMNS = (
+    "sweep_param", "method", "n_trials", "mse_m2", "rmse_m", "mse_db",
+    "p_fail_lambda0", "p_fail_stderr", "p_coarse_fail", "crb_m2", "mean_error_m",
+    "mse_stderr_m2", "p_coarse_fail_stderr",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def mix_seed(seed: int, index):
@@ -175,6 +177,13 @@ def synthesize_observation(
     return PhaseObservation(phases_rad=phases[0], plan=plan, truth_m=l_m)
 
 
+def true_phases(l_m: float, plan: FrequencyPlan) -> PhaseObservation:
+    """Noise-free wrapped phases of a target at range ``l_m``."""
+    if not math.isfinite(l_m):
+        raise InvalidArgumentError("range must be finite")
+    return synthesize_observation(l_m, plan, NoiseSpec(0.0), None)
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte-Carlo batch: plan, noise level, trial count, seed, truth policy.
@@ -183,8 +192,8 @@ class TrialConfig:
     +/- truth_halfwidth_m, default K/2) or "fixed" (every trial at
     ``truth_m``). An explicit half-width must be finite, positive and at
     most UMR/2, and a fixed truth finite with magnitude at most UMR/2 (both
-    with the relative tolerance ``ef_estimate`` allows its search range),
-    since no estimator can place a truth beyond it.
+    with the relative tolerance :data:`unwrapkit.core.UMR_RTOL`), since no
+    estimator can place a truth beyond it.
     """
 
     plan: FrequencyPlan
@@ -214,7 +223,7 @@ class TrialConfig:
         if self.truth_m is not None:
             if not math.isfinite(self.truth_m):
                 raise ConfigError(f"truth_m must be finite, got {self.truth_m!r}")
-            if abs(self.truth_m) > half_umr * (1.0 + 1e-9):
+            if abs(self.truth_m) > half_umr * (1.0 + UMR_RTOL):
                 raise ConfigError(
                     f"truth_m {self.truth_m!r} m lies beyond half the unambiguous "
                     f"range, {half_umr!r} m"
@@ -225,7 +234,7 @@ class TrialConfig:
                 raise ConfigError(
                     f"truth half-width must be finite and positive, got {halfwidth!r}"
                 )
-            if halfwidth > half_umr * (1.0 + 1e-9):
+            if halfwidth > half_umr * (1.0 + UMR_RTOL):
                 raise ConfigError(
                     f"truth half-width {halfwidth!r} m exceeds half the unambiguous "
                     f"range, {half_umr!r} m"
@@ -278,12 +287,7 @@ class SimReport:
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                f"{r.sweep_param!r},{r.method},{r.n_trials},{r.mse_m2!r},"
-                f"{r.rmse_m!r},{r.mse_db!r},{r.p_fail_lambda0!r},"
-                f"{r.p_fail_stderr!r},{r.p_coarse_fail!r},{r.crb_m2!r},"
-                f"{r.mean_error_m!r},{r.mse_stderr_m2!r},{r.p_coarse_fail_stderr!r}"
-            )
+            lines.append(",".join(str(getattr(r, c)) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 
@@ -352,7 +356,7 @@ def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
 def _run_chunk(cfg: TrialConfig, start: int, stop: int) -> dict:
     """Aggregate trials [start, stop) into per-method partial sums."""
     plan = cfg.plan
-    lam0 = plan.wavelengths_m[0]
+    lam0 = plan_constants(plan).lam0
     coarse_limit = plan.c_m_s / (2.0 * plan.bandwidth_hz) if plan.n >= 2 else math.inf
 
     errors = {name: np.empty(stop - start) for name in cfg.methods}
@@ -380,6 +384,12 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int) -> dict:
 
 def _chunk_bounds(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
+
+
+def _binomial(count: int, n: int) -> tuple:
+    """The rate count/n and its binomial standard error."""
+    p = count / n
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
@@ -420,7 +430,7 @@ def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
 
         mse = sum_e2 / n
         m4 = sum_e4 / n
-        p_fail = fail / n
+        p_fail, p_fail_stderr = _binomial(fail, n)
         row = SimRow(
             sweep_param=float(sweep_param),
             method=name,
@@ -428,15 +438,13 @@ def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
             mse_m2=mse,
             rmse_m=math.sqrt(mse),
             p_fail_lambda0=p_fail,
-            p_fail_stderr=math.sqrt(max(p_fail * (1.0 - p_fail), 0.0) / n),
+            p_fail_stderr=p_fail_stderr,
             crb_m2=crb_m2,
             mean_error_m=sum_e / n,
             mse_stderr_m2=math.sqrt(max(m4 - mse * mse, 0.0) / n),
         )
         if name == "concerto":
-            p_cf = coarse_fail / n
-            row.p_coarse_fail = p_cf
-            row.p_coarse_fail_stderr = math.sqrt(max(p_cf * (1.0 - p_cf), 0.0) / n)
+            row.p_coarse_fail, row.p_coarse_fail_stderr = _binomial(coarse_fail, n)
         report.rows.append(row)
     return report
 
@@ -457,6 +465,20 @@ def sweep_snr(cfg: TrialConfig, snr_db_list) -> SimReport:
 #: Sweep protocols keep the sampled truth this fraction of K away from the
 #: origin (halfwidth = fraction * K), inside the unambiguous boundary.
 SWEEP_TRUTH_FRACTION = 0.25
+
+
+def _concerto_point(plan, noise, trials, seed, k_m, sweep_param) -> SimReport:
+    """``concerto`` alone at one sweep point, truths uniform over +/- fraction * K."""
+    cfg = TrialConfig(
+        plan=plan,
+        noise=noise,
+        trials=trials,
+        seed=seed,
+        methods=("concerto",),
+        truth_policy="uniform",
+        truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k_m,
+    )
+    return run_trials(cfg, sweep_param=sweep_param)
 
 
 def sweep_range(
@@ -486,16 +508,7 @@ def sweep_range(
                 SimRow(sweep_param=float(k), method="concerto", n_trials=0, error=str(exc))
             )
             continue
-        cfg = TrialConfig(
-            plan=plan,
-            noise=noise,
-            trials=trials,
-            seed=seed,
-            methods=("concerto",),
-            truth_policy="uniform",
-            truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k,
-        )
-        report.rows.extend(run_trials(cfg, sweep_param=k).rows)
+        report.rows.extend(_concerto_point(plan, noise, trials, seed, k, k).rows)
     return report
 
 
@@ -535,16 +548,8 @@ def snr_threshold(
     rows = []
     threshold = None
     for snr_db in grid:
-        cfg = TrialConfig(
-            plan=plan,
-            noise=NoiseSpec.from_snr_db(snr_db),
-            trials=trials,
-            seed=seed,
-            methods=("concerto",),
-            truth_policy="uniform",
-            truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k_m,
-        )
-        row = run_trials(cfg, sweep_param=snr_db).rows[0]
+        noise = NoiseSpec.from_snr_db(snr_db)
+        row = _concerto_point(plan, noise, trials, seed, k_m, snr_db).rows[0]
         rows.append(row)
         if row.p_fail_lambda0 <= p_threshold:
             threshold = snr_db

@@ -14,6 +14,7 @@ from unwrapkit import (
     NoiseSpec,
     PhaseObservation,
     beat_wavelengths,
+    concerto_estimate,
     design_concerto_plan,
     true_phases,
     wrap_phase,
@@ -227,6 +228,19 @@ def test_beat_wavelengths_degenerate_plan():
     plan = FrequencyPlan(freqs_hz=(1e9, 1e9, 0.5e9))
     with pytest.raises(DegeneratePlanError):
         beat_wavelengths(plan)
+
+
+def test_beat_wavelengths_returns_a_fresh_array():
+    plan = design_concerto_plan(2500e6, 2400e6, 11, 100.0, 3e8)
+    obs = true_phases(17.3, plan)
+    before = concerto_estimate(obs)
+    first = beat_wavelengths(plan)
+    expected = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(beat_wavelengths(plan), expected)
+    assert repr(concerto_estimate(obs)) == repr(before)
+    with pytest.raises(InvalidArgumentError):
+        beat_wavelengths(FrequencyPlan(freqs_hz=(1e9,)))
 
 
 # -- true_phases ------------------------------------------------------------

@@ -31,6 +31,7 @@ from unwrapkit import (
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
+    crb,
     design_concerto_plan,
     ef_estimate,
     fold_integers,
@@ -489,8 +490,6 @@ def test_concerto_conditional_moments_small():
     # Conditional on correct folding integers, the error is the weighted
     # noise average: mean ~ 0 and MSE ~ the closed form. The full-size
     # version is acceptance criterion 3.
-    from unwrapkit import concerto_mse
-
     rng = np.random.default_rng(73)
     sigma = NoiseSpec.from_snr_db(20.0).sigma_rad
     lam = np.array(PLAN51.wavelengths_m)
@@ -507,7 +506,7 @@ def test_concerto_conditional_moments_small():
             errors.append(trace.l_final_m - l_true)
     errors = np.array(errors)
     assert errors.size > 0.99 * trials
-    theory = concerto_mse(PLAN51, sigma)
+    theory = crb(PLAN51, NoiseSpec(sigma))
     mse = float(np.mean(errors**2))
     assert mse == pytest.approx(theory, rel=0.06)
     stderr = math.sqrt(mse / errors.size)

@@ -1,11 +1,14 @@
-"""Package-wide checks: the public name list and the modules' imports."""
+"""Package-wide checks: the public name list, the modules' imports and the
+README's copy of the sweep CSV header."""
 
 import ast
 from pathlib import Path
 
 import unwrapkit
+from unwrapkit import simkit
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "unwrapkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "unwrapkit"
 
 
 def test_public_names_resolve_sorted_and_unique():
@@ -42,3 +45,10 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := _unused_imports(ast.parse(path.read_text(), filename=str(path))))
     }
     assert unused == {}
+
+
+def test_readme_csv_schema_matches_the_header():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("Simulation CSV schema"))
+    fence = next(i for i in range(at + 1, len(lines)) if lines[i].startswith("```"))
+    assert lines[fence + 1] == simkit.CSV_HEADER

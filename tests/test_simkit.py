@@ -30,7 +30,7 @@ from unwrapkit import (
 )
 from unwrapkit import estimators, simkit
 from unwrapkit.core import TWO_PI
-from unwrapkit.simkit import CSV_HEADER
+from unwrapkit.simkit import CSV_COLUMNS, CSV_HEADER, SimRow
 
 C = 3e8
 PLAN = design_concerto_plan(2500e6, 2400e6, 16, 144.0, C)
@@ -41,6 +41,12 @@ def test_synthesize_noiseless_equals_true_phases():
     obs = synthesize_observation(12.5, PLAN, NoiseSpec(0.0), rng)
     np.testing.assert_array_equal(obs.phases_rad, true_phases(12.5, PLAN).phases_rad)
     assert obs.truth_m == 12.5
+    # both are wrap(2*pi*L/lambda_i), written out here on the wavelength tuple
+    lam = np.array(PLAN.wavelengths_m)
+    for l_m in [0.0, 3 * lam[0], *rng.uniform(-72.0, 72.0, 200)]:
+        expected = wrap_phase(TWO_PI * l_m / lam)
+        got = true_phases(l_m, PLAN).phases_rad
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_synthesize_deterministic_per_seed():
@@ -172,6 +178,31 @@ def test_fixed_truth_policy():
     row = run_trials(cfg).rows[0]
     assert row.mse_m2 <= 1e-18
     assert row.mean_error_m == pytest.approx(0.0, abs=1e-10)
+
+
+def test_csv_text_is_pinned():
+    # Cells are compared as text, so a 1.0 written as 1, or a float's
+    # shortest repr lost, shows here.
+    report = SimReport(rows=[
+        SimRow(
+            sweep_param=20.0, method="concerto", n_trials=3000,
+            mse_m2=0.1 + 0.2, rmse_m=0.5477225575051661, p_fail_lambda0=1.0,
+            p_fail_stderr=0.0, p_coarse_fail=0.25, p_coarse_fail_stderr=1e-300,
+            crb_m2=2.5e-07, mean_error_m=-0.0, mse_stderr_m2=math.nan,
+        ),
+        SimRow(sweep_param=-5.0, method="bw", n_trials=12, mse_m2=0.0, rmse_m=0.0),
+        SimRow(sweep_param=1.0, method="concerto", n_trials=0, error="infeasible"),
+    ])
+    assert report.to_csv() == (
+        CSV_HEADER + "\n"
+        "20.0,concerto,3000,0.30000000000000004,0.5477225575051661,"
+        "-5.228787452803375,1.0,0.0,0.25,2.5e-07,-0.0,nan,1e-300\n"
+        "-5.0,bw,12,0.0,0.0,-inf,nan,nan,nan,nan,nan,nan,nan\n"
+        "1.0,concerto,0,nan,nan,nan,nan,nan,nan,nan,nan,nan,nan\n"
+    )
+    assert CSV_HEADER == ",".join(CSV_COLUMNS)
+    row = report.rows[0]
+    assert [c for c in CSV_COLUMNS if not hasattr(row, c)] == []
 
 
 def test_metric_consistency_and_csv_schema():

@@ -10,7 +10,6 @@ from unwrapkit import (
     InvalidArgumentError,
     NoiseSpec,
     UndefinedBoundError,
-    concerto_mse,
     crb,
     design_concerto_plan,
     sigma_e,
@@ -33,18 +32,11 @@ def test_sigma_e_examples():
 
 
 def test_mse_examples_and_crb_identity():
+    # crb's expression is also the conditional final-stage MSE
     plan1 = FrequencyPlan(freqs_hz=(C,), c_m_s=C)  # single 1 m wavelength
-    assert concerto_mse(plan1, 0.0) == 0.0
     sigma = 0.27
-    assert concerto_mse(plan1, sigma) == pytest.approx(sigma**2 / (4 * math.pi**2), rel=1e-15)
+    assert crb(plan1, NoiseSpec(sigma)) == pytest.approx(sigma**2 / (4 * math.pi**2), rel=1e-15)
     assert crb(plan1, NoiseSpec(1.0)) == pytest.approx(1 / (4 * math.pi**2), rel=1e-15)
-
-    # the conditional MSE and the CRB are the same expression, exactly
-    for n, k in ((4, 1e4), (16, 1e5), (51, 144.0)):
-        plan = design_concerto_plan(2500e6, 2400e6, n, k, C)
-        for snr_db in (5.0, 20.0, 40.0):
-            noise = NoiseSpec.from_snr_db(snr_db)
-            assert concerto_mse(plan, noise.sigma_rad) == crb(plan, noise)
 
 
 def test_crb_scaling_and_undefined():
