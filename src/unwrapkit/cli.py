@@ -85,11 +85,8 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _read_utf8(path: str, error) -> str:
@@ -151,12 +148,12 @@ def _integer(text: str) -> int:
     return int(value)
 
 
-def _parse_list(text: str, read=float) -> list:
-    """Comma list of numbers read by ``read``, or an inclusive integer range 'a..b'.
-
-    A non-integral range bound is refused, not truncated.
+def _parse_list(args, dest: str, read=float) -> list:
+    """Setting ``dest`` of ``args``: a comma list of numbers read by ``read``,
+    or an inclusive integer range 'a..b'. An empty list is refused, and so is
+    a non-integral range bound, not truncated.
     """
-    text = text.strip()
+    text = getattr(args, dest).strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -168,13 +165,12 @@ def _parse_list(text: str, read=float) -> list:
                     f"range {text!r} has {hi_i - lo_i + 1} points, more than {MAX_RANGE_POINTS}"
                 )
             return [read(v) for v in range(lo_i, hi_i + 1)]
-        return [read(part) for part in text.split(",") if part.strip()]
+        values = [read(part) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
-
-
-def _split_methods(text: str) -> tuple:
-    return tuple(m.strip() for m in text.split(",") if m.strip())
+    if not values:
+        raise ConfigError(f"--{dest.replace('_', '-')} is an empty list: {text!r}")
+    return values
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -242,13 +238,13 @@ def _cmd_crb(args):
 def _cmd_simulate(args):
     plan = _plan_for(args)
     _require(args, "snr_db_list")
-    snr_list = _parse_list(args.snr_db_list)
+    snr_list = _parse_list(args, "snr_db_list")
     cfg = TrialConfig(
         plan=plan,
         noise=NoiseSpec(0.0),
         trials=args.trials,
         seed=args.seed,
-        methods=_split_methods(args.methods),
+        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         truth_policy=args.truth_policy,
         truth_m=args.truth_m,
         truth_halfwidth_m=args.truth_halfwidth,
@@ -259,7 +255,7 @@ def _cmd_simulate(args):
 
 def _cmd_sweep_range(args):
     _require(args, "f_high", "f_low", "n", "k_list")
-    k_list = _parse_list(args.k_list)
+    k_list = _parse_list(args, "k_list")
     report = sweep_range(
         args.f_high, args.f_low, args.n, k_list, args.snr_db, args.trials, args.seed, args.c
     )
@@ -272,8 +268,8 @@ def _cmd_sweep_range(args):
 
 def _cmd_threshold(args):
     _require(args, "f_high", "f_low", "k", "n_list")
-    n_list = _parse_list(args.n_list, _integer)
-    grid = _parse_list(args.snr_grid)
+    n_list = _parse_list(args, "n_list", _integer)
+    grid = _parse_list(args, "snr_grid")
     lines = ["n,threshold_db"]
     for n in n_list:
         result = snr_threshold(

@@ -52,15 +52,19 @@ def wrap_phase(x):
     return arr
 
 
-def wrap_inplace(r: np.ndarray) -> np.ndarray:
-    """Wrap a float array into (-pi, pi] in place and return it.
+_WRAP_EDGES = np.array([-math.pi, math.pi])
+_WRAP_STEP = np.array([TWO_PI, -0.0, -TWO_PI])
 
-    The array kernel of :func:`wrap_phase`, without its finiteness check,
-    for arrays the package builds itself.
+
+def wrap_inplace(r: np.ndarray) -> np.ndarray:
+    """Wrap a float array of any shape into (-pi, pi] in place and return it.
+
+    The package's one array wrap: :func:`wrap_phase` without its finiteness
+    check. After ``fmod``, |r| < 2*pi, so one step adds +2*pi, -0.0 (a no-op,
+    even on a zero's sign) or -2*pi as r <= -pi, -pi < r <= pi or r > pi.
     """
     np.fmod(r, TWO_PI, out=r)
-    np.subtract(r, TWO_PI, out=r, where=r > math.pi)
-    np.add(r, TWO_PI, out=r, where=r <= -math.pi)
+    r += _WRAP_STEP.take(_WRAP_EDGES.searchsorted(r))
     return r
 
 

@@ -274,20 +274,6 @@ def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:
     return plan_constants(plan).beat_lam.copy()
 
 
-_WRAP_EDGES = np.array([-math.pi, math.pi])
-_WRAP_STEP = np.array([TWO_PI, -0.0, -TWO_PI])
-
-
-def _wrap_one(r: np.ndarray) -> np.ndarray:
-    """:func:`wrap_inplace` of one observation, bit for bit: once ``fmod`` leaves
-    |r| < 2*pi at most one of its masked steps applies, so adding +2*pi, -0.0
-    (a no-op, even on a zero's sign) or -2*pi as r <= -pi, -pi < r <= pi or
-    r > pi does the same in fewer passes."""
-    np.fmod(r, TWO_PI, out=r)
-    r += _WRAP_STEP.take(_WRAP_EDGES.searchsorted(r))
-    return r
-
-
 def _chain(k: PlanConstants, phases: np.ndarray):
     """Shared chain kernel on one observation (N,) or a row block (B, N).
 
@@ -304,10 +290,8 @@ def _chain(k: PlanConstants, phases: np.ndarray):
     loop instead of calling :func:`wrap_inplace`. That relies on every phase
     lying in (-pi, pi], as :class:`PhaseObservation` enforces: a difference
     then lies in [-2*pi, 2*pi], where wrap_inplace's ``fmod`` changes only
-    -2*pi (to -0.0) and 2*pi (to +0.0, which its subtraction also gives), so
-    its two corrections alone, with -2*pi mapped to -0.0, give the same bits.
-    concerto's residual stage on one observation wraps with :func:`_wrap_one`
-    likewise; row blocks keep wrap_inplace, cheaper there on large arrays.
+    -2*pi (to -0.0) and 2*pi (to +0.0, which subtracting 2*pi also gives),
+    so one correction, with -2*pi mapped to -0.0, gives the same bits.
     """
     ratios = k.beat_ratios
     if phases.ndim == 1:
@@ -463,7 +447,6 @@ def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
     The residual stage wraps the adjacent differences of the phases shifted
     by the coarse range in one step; wrapping each compensated phase first,
     as :func:`compensate_phases` does, changes no difference modulo 2*pi.
-    That wrap is :func:`_wrap_one`, with the bits of :func:`wrap_inplace`.
 
     Assumes |true range| < UMR/2; the only raised errors are degenerate-plan
     conditions propagated from the stage kernels.
@@ -476,7 +459,7 @@ def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
 
     dphi = phases[:-1] - phases[1:]
     dphi -= l_c * k.step_two_pi_inv_lam
-    l_r = float(_residual(k, _wrap_one(dphi)))
+    l_r = float(_residual(k, wrap_inplace(dphi)))
     l_m = l_c + l_r
 
     phase_turns = phases * _INV_TWO_PI

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .core import FrequencyPlan
+from .core import C_VACUUM_M_S, FrequencyPlan
 from .errors import InfeasibleDesignError, InvalidArgumentError
 
 #: Relative tolerance for the common-ratio structure of designed plans.
@@ -140,6 +140,12 @@ def validate_plan(plan: FrequencyPlan) -> list:
         if abs(lam[i] * freqs[i] - plan.c_m_s) > 1e-12 * plan.c_m_s:
             violations.append(f"wavelength-consistency: index {i}")
 
+    # NaN, and inf or -inf in some cases, would pass the comparisons below.
+    for name in ("ratio", "range_budget_m"):
+        value = getattr(plan, name)
+        if value is not None and not math.isfinite(value):
+            violations.append(f"not-finite: {name} = {value!r} is not finite")
+
     designed = plan.pattern_kind in ("concerto", "bw")
     if designed and n < 3:
         violations.append(f"frequency-count: designed pattern has n = {n} < 3")
@@ -250,7 +256,7 @@ def plan_from_csv(text: str) -> FrequencyPlan:
 
     return FrequencyPlan(
         freqs_hz=tuple(freqs),
-        c_m_s=_csv_float(meta.get("c_m_s", "299792458.0"), "c_m_s"),
+        c_m_s=_csv_float(meta.get("c_m_s", repr(C_VACUUM_M_S)), "c_m_s"),
         pattern_kind=meta.get("pattern", "explicit"),
         range_budget_m=_opt_float("range_budget_m"),
         ratio=_opt_float("ratio"),

@@ -43,7 +43,15 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import TWO_PI, UMR_RTOL, FrequencyPlan, NoiseSpec, PhaseObservation, wrap_phase
+from .core import (
+    C_VACUUM_M_S,
+    TWO_PI,
+    UMR_RTOL,
+    FrequencyPlan,
+    NoiseSpec,
+    PhaseObservation,
+    wrap_phase,
+)
 from .errors import (
     ConfigError,
     InfeasibleDesignError,
@@ -529,7 +537,7 @@ def snr_threshold(
     trials: int,
     seed: int,
     p_threshold: float = 1e-3,
-    c_m_s: float = 299_792_458.0,
+    c_m_s: float = C_VACUUM_M_S,
 ) -> ThresholdResult:
     """Scan an ascending SNR grid for the reliability threshold.
 

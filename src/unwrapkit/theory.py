@@ -1,6 +1,6 @@
-"""Closed-form error statistics: chain noise amplification and the
-Cramer-Rao bound, also the final stage's MSE. The SNR/sigma conversion is
-:class:`unwrapkit.core.NoiseSpec`'s (``from_snr_db`` and ``snr_db``).
+"""Closed-form error statistics: a chain rounding step's noise deviation, and
+the Cramer-Rao bound, which equals the final stage's MSE given correct folding
+integers. The SNR/sigma conversion is :class:`unwrapkit.core.NoiseSpec`'s.
 """
 
 from __future__ import annotations

@@ -538,6 +538,43 @@ def test_exit_codes(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("field, value", [("ratio", "nan"), ("ratio", "inf"),
+                                          ("range_budget_m", "nan")])
+def test_plan_file_with_non_finite_metadata_is_refused(tmp_path, capsys, field, value):
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])
+    text = plan_file.read_text()
+    plan_file.write_text(re.sub(f"{field}=[^,]*", f"{field}={value}", text, count=1))
+    code, out, err = _run(capsys, [
+        "estimate", "--plan", str(plan_file), "--phases", ",".join(["0.1"] * 51),
+    ])
+    assert code == 2
+    assert out == ""
+    assert f"not-finite: {field} = {value} is not finite" in err
+
+
+@pytest.mark.parametrize("value", ["", " , "])
+@pytest.mark.parametrize("command, dest", [
+    ("simulate", "snr_db_list"), ("sweep-range", "k_list"),
+    ("threshold", "n_list"), ("threshold", "snr_grid"),
+])
+def test_empty_list_is_refused(tmp_path, capsys, command, dest, value):
+    # by flag, and by config key where the list is a setting
+    flag = _flag(dest)
+    tail = BASE_ARGS[command]
+    others = [a for f, v in zip(tail[::2], tail[1::2]) if f != flag for a in (f, v)]
+    runs = [[command, *others, flag, value]]
+    if dest in SETTINGS:
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"{SETTINGS[dest][0]} ={value}\n")
+        runs.append([command, *others, "--config", str(cfg)])
+    for argv in runs:
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} is an empty list" in err
+
+
 def test_sweep_range_cli(capsys):
     code, out, err = _run(capsys, [
         "sweep-range", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "16",

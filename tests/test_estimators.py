@@ -53,7 +53,6 @@ from unwrapkit.estimators import (
     _bw_rows,
     _chain,
     _concerto_rows,
-    _wrap_one,
     plan_constants,
 )
 
@@ -171,10 +170,20 @@ _RESIDUAL_DIFFS = st.one_of(
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(xs=st.lists(_RESIDUAL_DIFFS, min_size=1, max_size=64))
-def test_one_observation_residual_wrap_matches_wrap_inplace(xs):
-    arr = np.array(xs)
-    assert np.array_equal(_bits(_wrap_one(arr.copy())), _bits(wrap_inplace(arr.copy())))
+@given(xs=st.lists(_RESIDUAL_DIFFS, min_size=1, max_size=64), rows=st.integers(1, 4))
+def test_wrap_inplace_matches_scalar_wrap_on_every_layout(xs, rows):
+    # The one array wrap, element by element against wrap_phase's scalar
+    # branch, signed zeros included: on one observation's differences, on a
+    # (B, N) row block, and on the (N, B) transposed copy _chain wraps.
+    want = _bits([wrap_phase(x) for x in xs])
+    assert np.array_equal(_bits(wrap_inplace(np.array(xs))), want)
+    size = len(xs) - len(xs) % rows
+    if size == 0:
+        return
+    block = np.array(xs[:size]).reshape(rows, -1)
+    want = want[:size].reshape(rows, -1)
+    assert np.array_equal(_bits(wrap_inplace(block.copy())), want)
+    assert np.array_equal(_bits(wrap_inplace(block.T.copy())), want.T)
 
 
 # -- chain ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Frequency-pattern design, validation, and the plan file format."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,23 @@ def test_validate_plan_violations():
     overflow = FrequencyPlan(freqs_hz=(2.4e9, 1e-320), c_m_s=C)
     assert math.isinf(overflow.wavelengths_m[1])
     assert validate_plan(overflow) == ["wavelength-consistency: index 1"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ratio", math.nan), ("ratio", math.inf), ("ratio", -math.inf),
+    ("range_budget_m", math.nan),
+])
+@pytest.mark.parametrize("design", [
+    lambda: design_concerto_plan(2500e6, 2400e6, 11, 144.0, C),
+    lambda: design_bw_plan(2.5e9, 0.1e9, 5, C),
+], ids=["concerto", "bw"])
+def test_validate_plan_names_a_non_finite_ratio_or_budget(design, field, value):
+    # NaN passes the ratio-mismatch and umr-below-budget comparisons, and
+    # so do some infinities: each is a violation of its own, named first,
+    # also after a plan file round trip
+    broken = replace(design(), **{field: value})
+    for plan in (broken, plan_from_csv(plan_to_csv(broken))):
+        assert validate_plan(plan)[0] == f"not-finite: {field} = {value!r} is not finite"
 
 
 def test_design_round_trip_random_draws():
