@@ -67,8 +67,7 @@ SETTINGS = {
     "k_list": ("k_list_m", str, None, "range budgets (m): comma list or range a..b"),
     "n_list": ("n_list", str, None, "frequency counts: comma list or range a..b"),
     "methods": ("methods", str, "concerto,bw,ef", "comma list of estimator names"),
-    "truth_policy": ("truth_policy", str, "uniform", "uniform or fixed"),
-    "truth_m": ("truth_m", float, None, "true range (m)"),
+    "truth_m": ("truth_m", float, None, "true range (m); simulate fixes every trial at it"),
     "p_th": ("p_threshold", float, 1e-3, "target P(|error| > lambda_0)"),
 }
 
@@ -245,7 +244,6 @@ def _cmd_simulate(args):
         trials=args.trials,
         seed=args.seed,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        truth_policy=args.truth_policy,
         truth_m=args.truth_m,
         truth_halfwidth_m=args.truth_halfwidth,
     )
@@ -305,9 +303,9 @@ SUBCOMMANDS = {
         )),
     "simulate": (
         _cmd_simulate, "Monte-Carlo SNR sweep, CSV per (method, SNR)",
-        _DESIGN + ("seed", "trials", "methods", "snr_db_list", "truth_policy", "truth_m"), True, (
+        _DESIGN + ("seed", "trials", "methods", "snr_db_list", "truth_m"), True, (
             ("--plan", {}),
-            ("--truth-halfwidth", {"type": float}),
+            ("--truth-halfwidth", {"type": float, "help": "uniform truths over +/- this (m)"}),
         )),
     "sweep-range": (
         _cmd_sweep_range, "coarse-stage failure probability versus K",

@@ -508,6 +508,10 @@ _EF_FLOOR = 1e-290
 #: Candidates per block of the ``ef`` scan: a block's ranges and partial
 #: scores, 2 MiB each, are screened before any of them gets a full score.
 _EF_BLOCK = 262_144
+#: Most candidates one ``ef`` search may scan: about 4 s at the 38 ns per
+#: candidate fitted on a 2-CPU host. A wider search, such as on a plan whose
+#: top two frequencies are an ulp apart (UMR 6e14 m), is refused before it starts.
+_EF_MAX_CANDIDATES = 10**8
 #: numpy's ufunc buffer size, in elements, inside the screen's context. numpy
 #: iterates a broadcast operation, such as the screen's (C, 1) column times
 #: its (rows,) candidates, through its buffers, at 2-4 times the time per
@@ -583,7 +587,8 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     Every candidate location at lambda_0 inside +/- k/2 (plus one cycle of
     guard) is scored by the summed squared distance of its implied folding
     fractions to the nearest integers; the winner is refined by the final
-    least-squares fit. Cost is linear in k.
+    least-squares fit. Cost is linear in k, and a search of more than
+    ``_EF_MAX_CANDIDATES`` candidates raises :class:`InvalidArgumentError`.
 
     The scan is exact and has one path for every k. Candidates go in blocks
     of ``_EF_BLOCK``, and each block in chunks of the per-thread buffers of
@@ -633,6 +638,10 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     m_hi = math.floor(k_m / (2.0 * lam0) + 1.0)
     if m_hi < m_lo:
         raise InvalidArgumentError("empty candidate set")
+    if m_hi - m_lo + 1 > _EF_MAX_CANDIDATES:
+        raise InvalidArgumentError(
+            f"search of {m_hi - m_lo + 1} candidates exceeds the limit of {_EF_MAX_CANDIDATES}"
+        )
     phases = obs.phases_rad
     phase_turns = phases * _INV_TWO_PI
     phi0_turns = float(phase_turns[0])

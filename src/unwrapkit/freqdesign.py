@@ -20,7 +20,8 @@ from dataclasses import replace
 from .core import C_VACUUM_M_S, FrequencyPlan
 from .errors import InfeasibleDesignError, InvalidArgumentError
 
-#: Relative tolerance for the common-ratio structure of designed plans.
+#: Relative tolerance for the common-ratio structure of designed plans, and
+#: for a plan's UMR against its range budget K.
 RATIO_RTOL = 1e-9
 
 
@@ -103,13 +104,18 @@ def design_bw_plan(
     # As n grows the smallest offset B*rho^-(N-2) is resolved ever more
     # coarsely by f_0: first the offset ratios miss rho, then the top
     # frequencies collapse onto f_0, long before rho^(N-2) could overflow.
+    # The closed-form budget can miss c/(f_0 - f_1) beyond RATIO_RTOL while
+    # the ratios still hold, so the plan is checked again with its budget.
     plan = FrequencyPlan(freqs_hz=tuple(freqs), c_m_s=c_m_s, pattern_kind="bw", ratio=rho)
     violations = validate_plan(plan)
+    if not violations:
+        plan = replace(plan, range_budget_m=(c_m_s / bandwidth_hz) * rho ** (n - 2))
+        violations = validate_plan(plan)
     if violations:
         raise InvalidArgumentError(
             f"n = {n} is too large for f_0/B = {rho:.6g}: {violations[0]}"
         )
-    return replace(plan, range_budget_m=(c_m_s / bandwidth_hz) * rho ** (n - 2))
+    return plan
 
 
 def validate_plan(plan: FrequencyPlan) -> list:
@@ -157,9 +163,6 @@ def validate_plan(plan: FrequencyPlan) -> list:
         for i in range(1, n - 1):
             lo = freqs[0] - freqs[i]
             hi = freqs[0] - freqs[i + 1]
-            if lo == 0.0:
-                violations.append(f"ratio-mismatch: zero offset at index {i}")
-                continue
             if abs(hi / lo - plan.ratio) > RATIO_RTOL * plan.ratio:
                 violations.append(
                     f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {hi / lo!r} "
@@ -172,15 +175,16 @@ def validate_plan(plan: FrequencyPlan) -> list:
                     f"ratio-mismatch: stored ratio {plan.ratio!r} differs from f_0/B = {rho!r}"
                 )
 
-    if plan.pattern_kind == "concerto":
-        if plan.range_budget_m is None:
-            violations.append("range-budget-missing: concerto pattern lacks K")
-        elif ordered and n >= 2:
-            if plan.umr_m < plan.range_budget_m * (1.0 - RATIO_RTOL):
-                violations.append(
-                    f"umr-below-budget: UMR = {plan.umr_m!r} m is below "
-                    f"K = {plan.range_budget_m!r} m"
-                )
+    budget = plan.range_budget_m
+    if plan.pattern_kind == "concerto" and budget is None:
+        violations.append("range-budget-missing: concerto pattern lacks K")
+    if budget is not None and math.isfinite(budget):
+        if not budget > 0.0:
+            violations.append(f"range-budget: K = {budget!r} m is not positive")
+        elif ordered and plan.umr_m < budget * (1.0 - RATIO_RTOL):
+            violations.append(
+                f"umr-below-budget: UMR = {plan.umr_m!r} m is below K = {budget!r} m"
+            )
     return violations
 
 

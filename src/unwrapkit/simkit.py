@@ -7,7 +7,7 @@ Determinism contract
 Trial t of a batch with master seed s draws from the stream
 ``np.random.default_rng(mix_seed(s, t))``, where :func:`mix_seed` is
 splitmix64, a documented 64-bit avalanche mixer: the uniform truth first
-(uniform policy), then N standard normals (sigma > 0). Each row block seeds
+(when drawn), then N standard normals (sigma > 0). Each row block seeds
 its trials' streams in one pass: splitmix64, numpy's ``SeedSequence`` hash
 and the PCG64 seeding run over the whole block as array arithmetic, and
 each trial's state is loaded into one reused generator, so every draw is
@@ -31,7 +31,8 @@ the ones a trial-by-trial loop over :func:`synthesize_observation` draws.
 
 Parallelism: trials are independent; if the environment variable
 ``UNWRAP_KIT_THREADS`` is set above 1, chunks are dispatched to a process
-pool of that size. The chunk layout does not depend on the worker count.
+pool of that size, capped at the batch's chunk count and at the CPUs the
+process may use. The chunk layout does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -194,12 +195,12 @@ def true_phases(l_m: float, plan: FrequencyPlan) -> PhaseObservation:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """One Monte-Carlo batch: plan, noise level, trial count, seed, truth policy.
+    """One Monte-Carlo batch: plan, noise level, trial count, seed, truth.
 
-    ``truth_policy`` is "uniform" (range drawn uniformly over
-    +/- truth_halfwidth_m, default K/2) or "fixed" (every trial at
-    ``truth_m``). An explicit half-width must be finite, positive and at
-    most UMR/2, and a fixed truth finite with magnitude at most UMR/2 (both
+    A given ``truth_m`` fixes every trial's truth there; otherwise the range
+    is drawn uniformly over +/- ``truth_halfwidth_m`` (default K/2), so the
+    two are not given together. A fixed truth must be finite with magnitude
+    at most UMR/2, and a half-width finite, positive and at most UMR/2 (both
     with the relative tolerance :data:`unwrapkit.core.UMR_RTOL`), since no
     estimator can place a truth beyond it.
     """
@@ -209,7 +210,6 @@ class TrialConfig:
     trials: int
     seed: int
     methods: tuple = ("concerto",)
-    truth_policy: str = "uniform"
     truth_m: float | None = None
     truth_halfwidth_m: float | None = None
 
@@ -223,10 +223,8 @@ class TrialConfig:
             if name in methods[:i]:
                 raise ConfigError(f"method {name!r} is listed more than once")
         object.__setattr__(self, "methods", methods)
-        if self.truth_policy not in ("uniform", "fixed"):
-            raise ConfigError(f"unknown truth_policy {self.truth_policy!r}")
-        if self.truth_policy == "fixed" and self.truth_m is None:
-            raise ConfigError("fixed truth policy needs truth_m")
+        if self.truth_m is not None and self.truth_halfwidth_m is not None:
+            raise ConfigError("give truth_m (a fixed truth) or truth_halfwidth_m, not both")
         half_umr = self.plan.umr_m / 2.0
         if self.truth_m is not None:
             if not math.isfinite(self.truth_m):
@@ -249,7 +247,7 @@ class TrialConfig:
                 )
 
     def resolved_halfwidth(self) -> float:
-        if self.truth_policy == "fixed":
+        if self.truth_m is not None:
             return 0.0
         if self.truth_halfwidth_m is not None:
             return self.truth_halfwidth_m
@@ -257,7 +255,8 @@ class TrialConfig:
         if budget is None:
             budget = self.plan.umr_m
         if not math.isfinite(budget):
-            raise ConfigError("uniform truth policy needs a finite range budget")
+            raise ConfigError("uniform truths need a finite range budget: give truth_m or "
+                              "truth_halfwidth_m")
         return budget / 2.0
 
 
@@ -299,12 +298,17 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("UNWRAP_KIT_THREADS", "")
+def _worker_count(chunks: int) -> int:
+    """``UNWRAP_KIT_THREADS``, capped at ``chunks`` and at the usable CPUs."""
     try:
-        return max(1, int(raw))
+        requested = int(os.environ.get("UNWRAP_KIT_THREADS", ""))
     except ValueError:
         return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, chunks, cpus))
 
 
 def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
@@ -321,7 +325,7 @@ def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
     plan = cfg.plan
     rows = stop - start
     sigma = cfg.noise.sigma_rad
-    uniform = cfg.truth_policy == "uniform"
+    uniform = cfg.truth_m is None
     halfwidth = cfg.resolved_halfwidth()
     estimators = {name: lookup_estimator(name) for name in cfg.methods}
     kernels = {name: BLOCK_KERNELS.get(fn) for name, fn in estimators.items()}
@@ -413,8 +417,8 @@ def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
         sweep_param = cfg.noise.snr_db
 
     bounds = _chunk_bounds(cfg.trials)
-    workers = _worker_count()
-    if workers > 1 and len(bounds) > 1:
+    workers = _worker_count(len(bounds))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -483,7 +487,6 @@ def _concerto_point(plan, noise, trials, seed, k_m, sweep_param) -> SimReport:
         trials=trials,
         seed=seed,
         methods=("concerto",),
-        truth_policy="uniform",
         truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k_m,
     )
     return run_trials(cfg, sweep_param=sweep_param)

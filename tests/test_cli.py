@@ -15,7 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unwrapkit import FrequencyPlan, cli, plan_from_csv, plan_to_csv, true_phases
+from unwrapkit import (
+    FrequencyPlan,
+    NoiseSpec,
+    TrialConfig,
+    cli,
+    design_concerto_plan,
+    plan_from_csv,
+    plan_to_csv,
+    sweep_snr,
+    true_phases,
+)
 from unwrapkit.cli import (
     CONFIG_KEYS,
     SETTINGS,
@@ -206,8 +216,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 SETTING_VALUES = {
     "f_high": "2.5e9", "f_low": "2.4e9", "n": "8", "k": "144", "c": "3e8",
     "seed": "3", "trials": "20", "snr_db_list": "10,14", "k_list": "1,1000",
-    "n_list": "8", "methods": "concerto,bw", "truth_policy": "fixed",
-    "truth_m": "1.5", "p_th": "0.2",
+    "n_list": "8", "methods": "concerto,bw", "truth_m": "1.5", "p_th": "0.2",
 }
 #: Arguments outside the table that keep each run short or complete.
 EXTRA_ARGS = {"crb": ["--snr-db", "20"], "threshold": ["--snr-grid", "0..30"]}
@@ -357,6 +366,49 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = _run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 1
     assert "foo" in err
+    # a line that is not a comment and has no '='
+    cfg.write_text("# a comment\nn_freq 8\n")
+    with pytest.raises(ConfigError, match=r":2: expected 'key = value', got 'n_freq 8'"):
+        load_config(str(cfg))
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert "expected 'key = value'" in err
+
+
+def test_truth_m_alone_fixes_the_simulated_truth(capsys):
+    argv = ["simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--c", "3e8", "--n", "8",
+            "--k", "1440", "--snr-db-list", "5..9", "--trials", "500", "--seed", "12",
+            "--methods", "concerto,bw"]
+    code, fixed, _ = _run(capsys, argv + ["--truth-m", "3.5"])
+    assert code == 0
+    plan = design_concerto_plan(2.5e9, 2.4e9, 8, 1440.0, 3e8)
+    cfg = TrialConfig(plan=plan, noise=NoiseSpec(0.0), trials=500, seed=12,
+                      methods=("concerto", "bw"), truth_m=3.5)
+    assert fixed == sweep_snr(cfg, [5.0, 6.0, 7.0, 8.0, 9.0]).to_csv()
+    code, uniform, _ = _run(capsys, argv)
+    assert code == 0 and uniform != fixed
+
+
+@pytest.mark.parametrize("extra, config, message", [
+    # the truth policy follows from truth_m; its flag and key are gone
+    (["--truth-policy", "fixed", "--truth-m", "3.5"], "",
+     "unrecognized arguments: --truth-policy fixed"),
+    ([], "truth_policy = fixed\n", "unknown key 'truth_policy'"),
+    # a fixed truth and a half-width to draw truths over
+    (["--truth-m", "3", "--truth-halfwidth", "2"], "",
+     "give truth_m (a fixed truth) or truth_halfwidth_m, not both"),
+    (["--truth-halfwidth", "2"], "truth_m = 3\n",
+     "give truth_m (a fixed truth) or truth_halfwidth_m, not both"),
+], ids=["truth-policy-flag", "truth-policy-key", "both-by-flag", "both-by-config"])
+def test_truth_settings_that_cannot_hold_exit_1(tmp_path, capsys, extra, config, message):
+    argv = ["simulate", *DESIGN_TAIL, "--snr-db-list", "20", "--trials", "5", *extra]
+    if config:
+        cfg = tmp_path / "truth.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_config_missing_required_key(tmp_path, capsys):
@@ -391,10 +443,27 @@ def test_exit_codes(tmp_path, capsys):
         "# pattern=explicit,n=2,c_m_s=3e8,ratio=none,range_budget_m=none\n"
         "index,f_hz,lambda_m\n0,2.5e9,0.12\n1,2.5e9,0.12\n"
     )
-    code, _, _ = _run(capsys, [
+    code, _, err = _run(capsys, [
         "estimate", "--plan", str(flat), "--phases", "0.0,0.0",
     ])
-    assert code in (2, 3)  # order violation reported at load time
+    assert code == 2  # order violation reported at load time
+    assert "frequency-order" in err
+    # numeric failure: top frequencies 1e-7 Hz apart pass validate_plan, but
+    # their wavelengths round to one value, which concerto's and bw's chains
+    # refuse; ef refuses its some 8e15-candidate search before it starts
+    near = tmp_path / "near.csv"
+    near.write_text(plan_to_csv(FrequencyPlan(
+        (1007503751.8759379, 1007503751.8759378, 1006503751.8759378), c_m_s=3e8)))
+    for method, want, message in (("concerto", 3, "repeated wavelength"),
+                                  ("bw", 3, "repeated wavelength"),
+                                  ("ef", 2, "exceeds the limit of 100000000")):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, [
+            "estimate", "--plan", str(near), "--phases", "0.1,0.2,0.3", "--method", method,
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (want, ""), method
+        assert message in err and "Traceback" not in err
     # malformed plan files: a non-numeric frequency cell or header value
     for name, text in (
         ("bad_cell.csv", "index,f_hz,lambda_m\n0,abc,0.12\n"),
@@ -440,7 +509,7 @@ def test_exit_codes(tmp_path, capsys):
         "simulate", "--plan", str(one), "--snr-db-list", "20", "--trials", "5",
     ])
     assert code == 1
-    assert "uniform truth policy needs a finite range budget" in err
+    assert "uniform truths need a finite range budget: give truth_m or truth_halfwidth_m" in err
     assert out == ""
     # a truth must be finite, as a phase must
     plan_file = tmp_path / "plan.csv"
@@ -471,8 +540,7 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = _run(capsys, [
         "simulate", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "8",
         "--k", "144", "--c", "3e8", "--methods", "concerto,bw",
-        "--snr-db-list", "30", "--trials", "20",
-        "--truth-policy", "fixed", "--truth-m", "1e6",
+        "--snr-db-list", "30", "--trials", "20", "--truth-m", "1e6",
     ])
     assert code == 1
     assert "truth_m 1000000.0 m lies beyond half the unambiguous range" in err
@@ -651,7 +719,6 @@ FLAG_VALUES = {
     "--n-list": ("3..5", "64"),
     "--methods": ("concerto", "bw", "ef", "concerto,bw,ef", "nope", ","),
     "--method": ("concerto", "bw", "ef", "nope"),
-    "--truth-policy": ("uniform", "fixed", "other"),
     "--truth-m": ("1.5", "-2", "1e6"),
     "--truth-halfwidth": ("10", "1e6"),
     "--p-th": ("1e-3", "0.5", "1"),

@@ -44,6 +44,7 @@ from unwrapkit import (
     sigma_e,
     synthesize_observation,
     true_phases,
+    validate_plan,
     wrap_phase,
 )
 from unwrapkit import estimators
@@ -305,6 +306,8 @@ def test_residual_degenerate_plan():
     plan = FrequencyPlan(freqs_hz=(1e9, 1e9, 1e9))
     with pytest.raises(DegeneratePlanError):
         residual_estimate(np.zeros(3), plan)
+    with pytest.raises(InvalidArgumentError, match="phase count does not match plan"):
+        residual_estimate(np.zeros(50), PLAN51)
 
 
 # -- grid oracle ------------------------------------------------------------
@@ -551,6 +554,36 @@ def test_ef_noiseless_and_bounds():
         ef_estimate(true_phases(0.0, PLAN51), k_m=2 * PLAN51.umr_m)
     with pytest.raises(InvalidArgumentError):
         ef_estimate(true_phases(0.0, PLAN51), k_m=-1.0)
+    # negative frequencies give a negative lambda_0, so no candidate lies
+    # between the search bounds
+    negative = FrequencyPlan(freqs_hz=(-1e9, -1.001e9), c_m_s=C)
+    with pytest.raises(InvalidArgumentError, match="empty candidate set"):
+        ef_estimate(PhaseObservation(phases_rad=np.zeros(2), plan=negative))
+
+
+def test_ef_refuses_a_search_beyond_its_candidate_limit(monkeypatch):
+    # Top frequencies an ulp apart pass validate_plan, but their UMR is
+    # 6.3e14 m: some 5e15 candidates, years of scanning. The search is
+    # refused before the scan's buffers are touched.
+    wide = FrequencyPlan(freqs_hz=(2.5e9, math.nextafter(2.5e9, 0.0)), c_m_s=C)
+    assert validate_plan(wide) == [] and wide.umr_m > 6e14
+
+    def no_scan():
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(estimators, "_ef_scratch", no_scan)
+    with pytest.raises(InvalidArgumentError, match=r"search of \d+ candidates exceeds "
+                                                   r"the limit of 100000000"):
+        ef_estimate(PhaseObservation(phases_rad=np.zeros(2), plan=wide))
+    monkeypatch.undo()
+    # the limit is inclusive: criterion 9's small-K call scans 1,203 candidates
+    obs = true_phases(1.0, PLAN51)
+    monkeypatch.setattr(estimators, "_EF_MAX_CANDIDATES", 1203)
+    assert ef_estimate(obs).l_final_m == pytest.approx(1.0, abs=1e-9)
+    monkeypatch.setattr(estimators, "_EF_MAX_CANDIDATES", 1202)
+    with pytest.raises(InvalidArgumentError, match="search of 1203 candidates exceeds "
+                                                   "the limit of 1202"):
+        ef_estimate(obs)
 
 
 def _eager_ef_chain(obs, l_final):

@@ -79,6 +79,9 @@ def test_design_errors():
         design_concerto_plan(2400e6, 2500e6, 5, 144.0, C)
     with pytest.raises(InvalidArgumentError):
         design_bw_plan(2500e6, 100e6, 2, C)
+    for f_high, bandwidth in ((2500e6, 0.0), (2500e6, -1.0), (100e6, 100e6), (100e6, 2500e6)):
+        with pytest.raises(InvalidArgumentError, match="need f_high > bandwidth > 0"):
+            design_bw_plan(f_high, bandwidth, 5, C)
     # the speed is checked before B*K/c, which it would otherwise make look infeasible
     for bad_c in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(InvalidArgumentError, match="propagation speed"):
@@ -138,6 +141,35 @@ def test_designed_plans_are_refused_or_valid_as_plan_files():
     assert 0 < refused < len(designs) // 2
 
 
+def test_bw_design_budget_holds_the_umr_or_is_refused():
+    # The closed-form budget (c/B)*(f_0/B)^(N-2) drifts from c/(f_0 - f_1)
+    # as f_0 resolves the smallest offset ever more coarsely: at f_0 = 373 MHz,
+    # B/f_0 = 0.32 it lies 1.09e-9 above the UMR at n = 16, beyond the
+    # tolerance, while the offset ratios still hold. Over every n each draw
+    # accepts, a returned plan passes validate_plan with its budget within
+    # 1e-8 of its UMR; the first n refused stops the draw.
+    assert design_bw_plan(372835221.1063768, 0.31916635705795526 * 372835221.1063768,
+                          15, C).n == 15
+    with pytest.raises(InvalidArgumentError, match="n = 16 is too large.*umr-below-budget"):
+        design_bw_plan(372835221.1063768, 0.31916635705795526 * 372835221.1063768, 16, C)
+    rng = np.random.default_rng(7)
+    draws = 300
+    accepted = worst = 0
+    for f_high, frac, c in zip(rng.uniform(1e8, 1e10, draws).tolist(),
+                               rng.uniform(0.005, 0.9, draws).tolist(),
+                               rng.uniform(1e8, 3e8, draws).tolist()):
+        for n in range(3, 400):
+            try:
+                plan = design_bw_plan(f_high, f_high * frac, n, c)
+            except InvalidArgumentError:
+                break
+            assert validate_plan(plan) == [], (f_high, frac, n, c)
+            worst = max(worst, abs(plan.range_budget_m - plan.umr_m) / plan.umr_m)
+            accepted += 1
+    assert accepted > 5000
+    assert worst < 1e-8
+
+
 def test_bw_design_last_ratio_automatic():
     # The chain ends at lambda_0: Lambda_{N-1}/lambda_0 = f_0/B holds by construction.
     plan = design_bw_plan(2500e6, 100e6, 6, C)
@@ -178,6 +210,25 @@ def test_validate_plan_violations():
         range_budget_m=good.range_budget_m * 2.0, ratio=good.ratio,
     )
     assert any("umr-below-budget" in v for v in validate_plan(broke_budget))
+
+    # a designed pattern without its ratio, a concerto one without its K
+    assert "ratio-missing: designed pattern lacks its common ratio" in validate_plan(
+        replace(good, ratio=None))
+    assert validate_plan(replace(good, range_budget_m=None)) == [
+        "range-budget-missing: concerto pattern lacks K"]
+    # a given budget is positive and within the UMR, whatever the pattern
+    bw = design_bw_plan(2.5e9, 0.1e9, 5, C)
+    for plan in (good, bw, FrequencyPlan(freqs_hz=good.freqs_hz, c_m_s=C)):
+        for budget in (0.0, -0.0, -5.0):
+            assert validate_plan(replace(plan, range_budget_m=budget)) == [
+                f"range-budget: K = {budget!r} m is not positive"]
+        too_far = plan.umr_m * (1.0 + 2e-9)
+        assert validate_plan(replace(plan, range_budget_m=too_far)) == [
+            f"umr-below-budget: UMR = {plan.umr_m!r} m is below K = {too_far!r} m"]
+        assert validate_plan(replace(plan, range_budget_m=plan.umr_m * (1.0 + 5e-10))) == []
+    assert bw.umr_m == 46875.0
+    assert validate_plan(replace(bw, range_budget_m=1e9)) == [
+        "umr-below-budget: UMR = 46875.0 m is below K = 1000000000.0 m"]
 
     # c / f overflows to inf for a subnormal frequency, so lambda * f != c:
     # the wavelength-consistency check can report, and must keep doing so
@@ -231,6 +282,8 @@ def test_plan_csv_round_trip():
         plan_from_csv("not a plan\n")
     with pytest.raises(InvalidArgumentError, match="line 2: f_hz 'abc'"):
         plan_from_csv("index,f_hz,lambda_m\n0,abc,0.12\n")
+    with pytest.raises(InvalidArgumentError, match="malformed row '0'"):
+        plan_from_csv("index,f_hz,lambda_m\n0\n")
     for key in ("c_m_s", "ratio", "range_budget_m"):
         with pytest.raises(InvalidArgumentError, match=key):
             plan_from_csv(f"# {key}=xyz\nindex,f_hz,lambda_m\n0,2.5e9,0.12\n")

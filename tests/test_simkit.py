@@ -131,6 +131,38 @@ def test_run_trials_parallel_matches_serial(monkeypatch):
     assert parallel.mean_error_m == serial.mean_error_m
 
 
+def test_worker_pool_is_capped_at_chunks_and_cpus(monkeypatch):
+    # A stand-in pool records its size and maps the chunks in this process,
+    # so no worker process starts, whatever UNWRAP_KIT_THREADS asks for.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simkit, "CHUNK_TRIALS", 10)
+    cfg = TrialConfig(plan=PLAN, noise=NoiseSpec.from_snr_db(10.0), trials=45, seed=3)
+    serial = run_trials(cfg).to_csv()
+    for threads, cpus, size in (("5000", 64, 5), ("5000", 3, 3), ("2", 64, 2), ("5000", 1, None)):
+        monkeypatch.setenv("UNWRAP_KIT_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        sizes.clear()
+        assert run_trials(cfg).to_csv() == serial
+        assert sizes == ([] if size is None else [size]), (threads, cpus)
+
+
 def test_run_trials_config_errors():
     with pytest.raises(ConfigError):
         TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=0, seed=0)
@@ -139,8 +171,10 @@ def test_run_trials_config_errors():
     with pytest.raises(ConfigError, match="method 'bw' is listed more than once"):
         TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0,
                     methods=("bw", "concerto", "bw"))
-    with pytest.raises(ConfigError):
-        TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0, truth_policy="fixed")
+    # a fixed truth and a half-width to draw truths over cannot both hold
+    with pytest.raises(ConfigError, match="truth_m .* truth_halfwidth_m, not both"):
+        TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0,
+                    truth_m=3.0, truth_halfwidth_m=2.0)
     cfg = TrialConfig(
         plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0, methods=("dcrt",)
     )
@@ -160,21 +194,24 @@ def test_truth_config_validation():
         assert TrialConfig(**base, truth_halfwidth_m=halfwidth).resolved_halfwidth() == halfwidth
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ConfigError, match="truth_m"):
-            TrialConfig(**base, truth_policy="fixed", truth_m=bad)
+            TrialConfig(**base, truth_m=bad)
     # a fixed truth beyond UMR/2 is as meaningless as such a half-width
     half_umr = PLAN.umr_m / 2.0
     for bad in (1e6, -1e6, half_umr * (1.0 + 1e-8), -half_umr * (1.0 + 1e-8)):
         with pytest.raises(ConfigError, match="truth_m .* beyond half the unambiguous range"):
-            TrialConfig(**base, truth_policy="fixed", truth_m=bad)
+            TrialConfig(**base, truth_m=bad)
     for truth in (half_umr, -half_umr, half_umr * (1.0 + 1e-12), 0.0):
-        assert TrialConfig(**base, truth_policy="fixed", truth_m=truth).truth_m == truth
+        assert TrialConfig(**base, truth_m=truth).truth_m == truth
 
 
 def test_fixed_truth_policy():
     cfg = TrialConfig(
         plan=PLAN, noise=NoiseSpec(0.0), trials=50, seed=4,
-        methods=("concerto",), truth_policy="fixed", truth_m=31.25,
+        methods=("concerto",), truth_m=31.25,
     )
+    # a given truth_m alone fixes every trial's truth
+    truths, _, _ = simkit._evaluate_block(cfg, 0, 50)
+    assert truths.tolist() == [31.25] * 50
     row = run_trials(cfg).rows[0]
     assert row.mse_m2 <= 1e-18
     assert row.mean_error_m == pytest.approx(0.0, abs=1e-10)
@@ -347,8 +384,7 @@ def test_row_blocks_match_trial_by_trial_scalar_path(snr_db, policy):
     noise = NoiseSpec(0.0) if snr_db is None else NoiseSpec.from_snr_db(snr_db)
     cfg = TrialConfig(
         plan=PLAN, noise=noise, trials=simkit.CHUNK_TRIALS, seed=17,
-        methods=("concerto", "bw", "ef"), truth_policy=policy,
-        truth_m=-23.75 if policy == "fixed" else None,
+        methods=("concerto", "bw", "ef"), truth_m=-23.75 if policy == "fixed" else None,
     )
     lam = np.array(PLAN.wavelengths_m)
     halfwidth = cfg.resolved_halfwidth()
