@@ -248,7 +248,7 @@ class PlanConstants:
     @_lazy
     def ef_full_rows(self) -> int:
         """Candidates in the longest chunk of the ``ef`` full scores."""
-        return _ef_rows(self.plan.n - 1)
+        return _ef_rows(self.plan.n)
 
     @_lazy
     def ef_slack(self) -> float:
@@ -494,21 +494,24 @@ def _concerto_rows(k: PlanConstants, phases: np.ndarray):
 #: Elements (candidates x columns) in the longest chunk of the ``ef`` candidate
 #: scan: each of the scan's two float64 chunk buffers holds this many, 0.2 MB,
 #: so one chunk's buffers stay well inside a core's L2 cache. A screen chunk
-#: holds at most 1,280 candidates (C = 20), and a block of more than that is
-#: split into equal chunks of 641 or more, so the screen's cost per candidate
+#: holds at most 1,600 candidates (C = 16), and a block of more than that is
+#: split into equal chunks of 801 or more, so the screen's cost per candidate
 #: is about the same at every search range.
 _EF_CHUNK_ELEMENTS = 25_600
 #: Fraction columns of the ``ef`` screen: every candidate is first scored on
 #: this many of its N-1 folding fractions, spread evenly over them.
-_EF_SCREEN_COLUMNS = 20
+_EF_SCREEN_COLUMNS = 16
 #: The screen's bound is widened by this factor plus 1e-15 per frequency,
 #: and by this floor for squares that underflow (see :func:`ef_estimate`).
 _EF_SLACK = 1.0 + 1e-12
 _EF_FLOOR = 1e-290
+#: Candidates either side of a block's lowest partial score that the ``ef``
+#: scan scores in full for its bound.
+_EF_WINDOW = 2
 #: Candidates per block of the ``ef`` scan: a block's ranges and partial
 #: scores, 2 MiB each, are screened before any of them gets a full score.
 _EF_BLOCK = 262_144
-#: Most candidates one ``ef`` search may scan: about 4 s at the 38 ns per
+#: Most candidates one ``ef`` search may scan: about 3 s at the 31 ns per
 #: candidate fitted on a 2-CPU host. A wider search, such as on a plan whose
 #: top two frequencies are an ulp apart (UMR 6e14 m), is refused before it starts.
 _EF_MAX_CANDIDATES = 10**8
@@ -518,6 +521,8 @@ _EF_MAX_CANDIDATES = 10**8
 #: element, while 3 x rows is below the buffer size (8,192 by default): every
 #: screen chunk of 342 rows or more runs unbuffered at this size.
 _EF_SCREEN_BUFSIZE = 1024
+#: Chunk shapes whose buffer views a thread keeps (see :class:`_EfViews`).
+_EF_VIEW_SHAPES = 64
 _EF_LOCAL = threading.local()
 
 
@@ -527,11 +532,33 @@ def _ef_rows(cols: int) -> int:
     return max(1, _EF_CHUNK_ELEMENTS // max(cols, 1))
 
 
+class _EfViews(dict):
+    """A thread's two ``ef`` chunk buffers of ``_EF_CHUNK_ELEMENTS`` floats,
+    a chunk's folding fractions and their rounded values. ``views[rows, cols]``
+    is a pair of C-contiguous (rows, cols) views of their first rows x cols
+    floats, and the first view without its first column; each shape's views
+    are made once (up to ``_EF_VIEW_SHAPES`` shapes), since making them costs
+    about as much as a small ufunc call."""
+
+    __slots__ = ("frac", "scratch")
+
+    def __init__(self):
+        super().__init__()
+        self.frac = np.empty(_EF_CHUNK_ELEMENTS)
+        self.scratch = np.empty(_EF_CHUNK_ELEMENTS)
+
+    def __missing__(self, shape):
+        if len(self) >= _EF_VIEW_SHAPES:
+            self.clear()
+        size = shape[0] * shape[1]
+        fractions = self.frac[:size].reshape(shape)
+        views = self[shape] = (fractions, self.scratch[:size].reshape(shape), fractions[:, 1:])
+        return views
+
+
 def _ef_scratch():
-    """The calling thread's ``ef`` scan state: two flat buffers of
-    ``_EF_CHUNK_ELEMENTS`` floats, a chunk's folding fractions and their
-    rounded values, viewed as (columns, candidates) in the screen and as
-    (candidates, N-1) in the full score; and the context the screen runs in.
+    """The calling thread's ``ef`` scan state: its :class:`_EfViews` and the
+    context the screen runs in.
 
     Per-thread buffers keep the scan reentrant without paying an allocation
     (and page faults) per estimate. numpy keeps its ufunc settings in a
@@ -547,17 +574,16 @@ def _ef_scratch():
     if cached is None:
         context = contextvars.Context()
         context.run(np.setbufsize, _EF_SCREEN_BUFSIZE)
-        cached = _EF_LOCAL.state = (
-            np.empty(_EF_CHUNK_ELEMENTS), np.empty(_EF_CHUNK_ELEMENTS), context)
+        cached = _EF_LOCAL.state = (_EfViews(), context)
     return cached
 
 
-def _ef_screen(frac, scratch, inv_lam, targets, l_all, max_rows, out):
+def _ef_screen(views, inv_lam, targets, l_all, max_rows, out):
     """The ``ef`` screen of one block, run in the screen's context: ``out``
     gets the partial score of each candidate range in ``l_all`` on the
     fraction columns whose 1/lambda_i and phi_i/2pi are the (C, 1) columns
     ``inv_lam`` and ``targets``, in equal chunks of at most ``max_rows``
-    candidates laid out (C, rows) in the buffers ``frac`` and ``scratch``."""
+    candidates laid out (C, rows) in the buffers of ``views``."""
     width = inv_lam.shape[0]
     total = l_all.size
     chunks = -(-total // max_rows)
@@ -565,13 +591,37 @@ def _ef_screen(frac, scratch, inv_lam, targets, l_all, max_rows, out):
     for lo in range(0, total, rows):
         l_cand = l_all[lo:lo + rows]
         count = l_cand.size
-        f = frac[:width * count].reshape(width, count)
-        s = scratch[:width * count].reshape(width, count)
+        f, s, _ = views[width, count]
         np.multiply(inv_lam, l_cand, out=f)
         f -= targets
         np.rint(f, out=s)
         f -= s
         np.einsum("ij,ij->j", f, f, out=out[lo:lo + count])
+
+
+def _ef_best(k: PlanConstants, l_cand, phase_turns, views):
+    """The lowest full ``ef`` score among the candidate ranges ``l_cand``, the
+    first candidate that has it and the nearest integers to that candidate's
+    l/lambda_i - phi_i/2pi, as (score, range, integers). Candidates go in
+    chunks of at most ``k.ef_full_rows``, laid out (rows, N) in the buffers of
+    ``views``; a score is ``einsum`` over a row of the squared distances to
+    those integers, i >= 1, as in the one-pass scan."""
+    n = phase_turns.size
+    rows = k.ef_full_rows
+    best = (math.inf,)
+    for lo in range(0, l_cand.size, rows):
+        chunk = l_cand[lo:lo + rows, None]
+        dist, nearest, scored = views[chunk.shape[0], n]
+        np.multiply(chunk, k.inv_lam, out=dist)
+        dist -= phase_turns
+        np.rint(dist, out=nearest)
+        dist -= nearest
+        scores = np.einsum("ij,ij->i", scored, scored)
+        i = int(scores.argmin())
+        score = float(scores[i])
+        if score < best[0]:
+            best = (score, float(chunk[i, 0]), nearest[i].copy())
+    return best
 
 
 def _ef_chain(k: PlanConstants, phases: np.ndarray, l_final: float) -> np.ndarray:
@@ -600,27 +650,31 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
       the thread's screen context, where numpy runs them unbuffered. Each
       fraction is computed as in the full score,
       ``l/lambda_i - target_i - rint(...)``, so it has the same bits;
-    * the bound is the lower of the best full score so far and the full
-      score, as a dot product, of the block's lowest partial score. It is
-      computed from that candidate's folding integers, which are the ones
-      the final fit takes if the candidate wins (the distance to the
-      nearest integer is the same whichever way a tie rounds);
-    * only a candidate whose partial score is at most the bound times
-      ``_EF_SLACK`` plus 1e-15 per frequency, plus ``_EF_FLOOR``, gets a full
-      score: ``einsum`` over its own C-contiguous row of N-1 squared
-      fractions, so it does not depend on the chunking. ``argmin`` over a
-      block's survivors, which keep candidate order, and the strict ``<``
-      across blocks keep the first candidate on an exact tie.
+    * the candidates within ``_EF_WINDOW`` of the block's lowest partial
+      score get a full score: ``einsum`` over their own C-contiguous row of
+      N-1 squared fractions, so it does not depend on the chunking. A
+      candidate's neighbours are the ones a screen separates worst: a step
+      of j candidates moves fraction i by j(f_0 - f_i)/f_0, which a narrow
+      band keeps small. The bound is the lower of the best full score so
+      far and the window's;
+    * only a candidate outside the window whose partial score is at most the
+      bound times ``_EF_SLACK`` plus 1e-15 per frequency, plus ``_EF_FLOOR``,
+      gets a full score too. The first lowest full score of a block's
+      window or survivors, which keep candidate order, wins it; across them
+      the lower range wins an exact tie, and the strict ``<`` across blocks
+      keeps the first candidate. The integers nearest the winner's
+      fractions come with its full score, and they are the final fit's
+      folding integers (:func:`_fold`'s) unless the score is 1/4 or more.
 
     Nothing that could win or tie is pruned. A partial score sums a subset
-    of the full score's non-negative squares, and every sum here is within
-    (N-1+C) rounding steps of u = 2**-53, relative, of its exact value; so a
-    winning candidate's partial score is at most the bound times
-    1 + (3(N-1)+C)u (1 + 1.9e-14 at N = 51), inside the slack for any N.
-    Squares that underflow err by about 1e-323 each, inside the floor. The
-    trace is bit for bit that of scoring every candidate in full. Where most
-    candidates survive (low SNR), a call costs that full scoring plus the
-    screen.
+    of the full score's non-negative squares, and a sum of n squares here is
+    within 2n rounding steps of u = 2**-53, relative, of its exact value; so
+    a candidate whose full score is at most the bound has a partial score at
+    most the bound times 1 + 2(N-1+C)u (1 + 1.4e-14 at N = 51), inside the
+    slack for any N. Squares that underflow err by about 1e-323 each, inside
+    the floor. The trace is bit for bit that of scoring every candidate in
+    full. Where most candidates survive (low SNR), a call costs that full
+    scoring plus the screen.
     """
     plan = obs.plan
     k = plan_constants(plan)
@@ -645,68 +699,53 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     phases = obs.phases_rad
     phase_turns = phases * _INV_TWO_PI
     phi0_turns = float(phase_turns[0])
-    frac, scratch, screen_context = _ef_scratch()
+    views, screen_context = _ef_scratch()
 
     screen_targets = phase_turns.take(k.ef_screen_index)
-    inv_lam, targets = k.inv_lam[1:], phase_turns[1:]
-    width = inv_lam.size
-    full_rows = k.ef_full_rows
     slack = k.ef_slack
     best_score = math.inf
-    best_m = m_lo
-    best_fold = None
     for start in range(m_lo, m_hi + 1, _EF_BLOCK):
         # the screen: the block's candidate ranges and partial scores
         l_all = np.arange(start, min(start + _EF_BLOCK, m_hi + 1), dtype=float)
         l_all += phi0_turns
         l_all *= lam0
         partial_scores = np.empty(l_all.size)
-        screen_context.run(_ef_screen, frac, scratch, k.ef_screen_inv_lam, screen_targets,
+        screen_context.run(_ef_screen, views, k.ef_screen_inv_lam, screen_targets,
                            l_all, k.ef_screen_rows, partial_scores)
 
-        # the bound: the full score, as a dot product, of the lowest partial
-        # score's candidate, from the folding integers the final fit takes if
-        # it wins
+        # the bound: the best full score in the window around the lowest
+        # partial score
         star = int(partial_scores.argmin())
-        v = np.multiply(k.inv_lam, l_all[star])
-        v -= phase_turns
-        star_fold = _round_half_away_arr(v)
-        v -= star_fold
-        f = v[1:]
-        limit = min(best_score, f.dot(f)) * slack + _EF_FLOOR
+        lo = max(star - _EF_WINDOW, 0)
+        hi = star + _EF_WINDOW + 1
+        score, l_best, fold = _ef_best(k, l_all[lo:hi], phase_turns, views)
+        limit = min(best_score, score) * slack + _EF_FLOOR
 
-        # the full scores of the survivors, over the spent partial scores
-        survivors = (partial_scores <= limit).nonzero()[0]
-        if not survivors.size:
-            continue
-        scores = partial_scores[:survivors.size]
-        for lo in range(0, survivors.size, full_rows):
-            l_cand = l_all.take(survivors[lo:lo + full_rows])
-            count = l_cand.size
-            f = frac[:count * width].reshape(count, width)
-            s = scratch[:count * width].reshape(count, width)
-            np.multiply(l_cand[:, None], inv_lam, out=f)
-            f -= targets
-            np.rint(f, out=s)
-            f -= s
-            np.einsum("ij,ij->i", f, f, out=scores[lo:lo + count])
-        local = int(scores.argmin())
-        if scores[local] < best_score:
-            best_score = float(scores[local])
-            best_m = start + int(survivors[local])
-            best_fold = star_fold if survivors[local] == star else None
+        # the full scores of the survivors outside the window; an exact tie
+        # goes to the lower range, the earlier candidate
+        partial_scores[lo:hi] = math.inf
+        survivors = partial_scores <= limit
+        if survivors.any():
+            other = _ef_best(k, l_all[survivors], phase_turns, views)
+            if other[:2] < (score, l_best):
+                score, l_best, fold = other
+        if score < best_score:
+            best_score, best_l, best_fold = score, l_best, fold
 
-    l_cand_best = (best_m + phi0_turns) * lam0
-    fold = _fold(k, l_cand_best, phase_turns) if best_fold is None else best_fold
-    l_final = float(_fit(k, fold, phase_turns))
+    # rint and _fold's rounding differ only on a fraction exactly half way
+    # between integers, which adds 1/4 to a score: column 0 lies within
+    # 1e-7 of an integer for every candidate
+    if best_score >= 0.25:
+        best_fold = _fold(k, best_l, phase_turns)
+    l_final = float(_fit(k, best_fold, phase_turns))
 
     return EstimateTrace(
         method="ef",
         m_chain=partial(_ef_chain, k, phases, l_final),
-        l_coarse_m=l_cand_best,
+        l_coarse_m=best_l,
         l_residual_m=0.0,
-        l_mid_m=l_cand_best + 0.0,
-        fold_ints=fold,
+        l_mid_m=best_l + 0.0,
+        fold_ints=best_fold,
         l_final_m=l_final,
         delta_m=_delta(l_final, obs),
     )
