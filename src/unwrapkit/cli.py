@@ -9,10 +9,14 @@ point; plan files written by ``design`` are accepted back by every
 subcommand that takes ``--plan``.
 
 Every subcommand is one entry of ``SUBCOMMANDS``. ``main`` builds the one
-parser of all six on its first call and reuses it on later calls. Reuse is
-safe because parsing never changes a parser: ``parse_args`` fills a new
-namespace on every call, ``_resolve`` writes only to that namespace, and
-help and usage text read the terminal width each time they are formatted.
+parser of all six on its first call and reuses it on later calls. When the
+first argument names a subcommand, ``main`` hands the rest straight to that
+subcommand's parser, which the top-level parser holds, and reports the
+arguments it leaves over as the top-level parser would; any other argv
+goes through the top-level parser. Reuse is safe because parsing never
+changes a parser: every parse fills a new namespace, ``_resolve`` writes
+only to that namespace, and help and usage text read the terminal width
+each time they are formatted.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ import functools
 import math
 import re
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .core import C_VACUUM_M_S, NoiseSpec, PhaseObservation
 from .errors import (
@@ -90,7 +91,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_utf8(path: str, error) -> str:
     try:  # bytes: text mode's newline translation changes nothing splitlines sees
-        with open(Path(path), "rb", buffering=0) as f:
+        with open(path, "rb", buffering=0) as f:
             return f.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
@@ -117,9 +118,10 @@ def load_config(path: str) -> dict:
 
 def _resolve(args, config: dict) -> None:
     """Fill each setting the parsed subcommand defines and no flag gave."""
-    for dest, (key, convert, default, _) in SETTINGS.items():
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
+    for dest in SUBCOMMANDS[args.command][2]:
+        if getattr(args, dest) is not None:
             continue
+        key, convert, default, _ = SETTINGS[dest]
         if key in config:
             try:
                 default = convert(config[key])
@@ -174,7 +176,8 @@ def _parse_list(args, dest: str, read=float) -> list:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_bytes(text.encode())
+        with open(out_path, "wb") as f:
+            f.write(text.encode())
     else:
         sys.stdout.write(text)
 
@@ -208,7 +211,7 @@ def _cmd_design(args):
 def _cmd_estimate(args):
     plan = _load_plan(args.plan)
     try:
-        phases = np.array(list(map(float, args.phases.split(","))))
+        phases = list(map(float, args.phases.split(",")))
     except ValueError as exc:
         raise ConfigError(f"cannot parse phase list: {exc}") from exc
     obs = PhaseObservation(phases_rad=phases, plan=plan, truth_m=args.truth_m)
@@ -220,8 +223,8 @@ def _cmd_estimate(args):
         f"l_coarse_m,{trace.l_coarse_m!r}",
         f"l_residual_m,{trace.l_residual_m!r}",
         f"l_mid_m,{trace.l_mid_m!r}",
-        "m_chain," + ";".join([str(v) for v in trace.m_chain]),
-        "fold_ints," + ";".join([str(v) for v in trace.fold_ints]),
+        "m_chain," + ";".join(map(str, trace.m_chain)),
+        "fold_ints," + ";".join(map(str, trace.fold_ints)),
         f"delta_m,{'nan' if trace.delta_m is None else repr(trace.delta_m)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -323,7 +326,8 @@ SUBCOMMANDS = {
 
 
 def build_parser() -> _Parser:
-    """The parser of every subcommand."""
+    """The parser of every subcommand. Its ``commands`` maps each
+    subcommand's name to that subcommand's own parser."""
     # --help shows the docstring without its last paragraph, on the build
     description = __doc__.rsplit("\n\n", 1)[0]
     parser = _Parser(prog="unwrapkit", description=description, allow_abbrev=False)
@@ -341,6 +345,7 @@ def build_parser() -> _Parser:
                            help=help_setting)
         for flag, options in extra:
             p.add_argument(flag, **options)
+    parser.commands = sub.choices
     return parser
 
 
@@ -365,10 +370,29 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _parse_args(argv: list):
+    """``_parser().parse_args(argv)``, without the top-level pass when
+    ``argv`` starts with a subcommand's name.
+
+    For ``[name, *rest]`` that pass only sets ``command`` to ``name``, hands
+    ``rest`` to the subcommand's parser and refuses whatever that parser
+    leaves over with the top-level usage line; this does the same directly.
+    """
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 1
     try:

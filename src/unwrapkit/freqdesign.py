@@ -15,6 +15,7 @@ Plans are stored at full floating precision; no synthesizer grid rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 
 from .core import C_VACUUM_M_S, FrequencyPlan
@@ -127,24 +128,26 @@ def validate_plan(plan: FrequencyPlan) -> list:
     """
     violations = []
     freqs = plan.freqs_hz
-    n = plan.n
+    n, c, ratio = plan.n, plan.c_m_s, plan.ratio
 
-    for i, f in enumerate(freqs):
-        if f <= 0.0:
-            violations.append(f"positivity: freqs_hz[{i}] = {f!r} is not positive")
-    ordered = True
-    for i in range(n - 1):
-        if not freqs[i] > freqs[i + 1]:
-            ordered = False
-            violations.append(
-                f"frequency-order: freqs_hz[{i + 1}] = {freqs[i + 1]!r} is not "
-                f"strictly below freqs_hz[{i}] = {freqs[i]!r}"
-            )
+    # Each check is one pass over the frequencies that builds a message only
+    # for an index that fails, in plain floats: numpy's per-call cost is more
+    # than a whole pass over the tens of frequencies a plan has.
+    if min(freqs) <= 0.0:
+        violations += [f"positivity: freqs_hz[{i}] = {f!r} is not positive"
+                       for i, f in enumerate(freqs) if f <= 0.0]
+    ordered = all(map(operator.gt, freqs, freqs[1:]))
+    if not ordered:
+        violations += [
+            f"frequency-order: freqs_hz[{i + 1}] = {freqs[i + 1]!r} is not "
+            f"strictly below freqs_hz[{i}] = {freqs[i]!r}"
+            for i in range(n - 1) if not freqs[i] > freqs[i + 1]
+        ]
 
-    lam = plan.wavelengths_m
-    for i in range(n):
-        if abs(lam[i] * freqs[i] - plan.c_m_s) > 1e-12 * plan.c_m_s:
-            violations.append(f"wavelength-consistency: index {i}")
+    # lambda_i * f_i against c, with lambda_i = c / f_i as plan.wavelengths_m has it
+    tol = 1e-12 * c
+    violations += [f"wavelength-consistency: index {i}"
+                   for i, f in enumerate(freqs) if abs(c / f * f - c) > tol]
 
     # NaN, and inf or -inf in some cases, would pass the comparisons below.
     for name in ("ratio", "range_budget_m"):
@@ -155,24 +158,25 @@ def validate_plan(plan: FrequencyPlan) -> list:
     designed = plan.pattern_kind in ("concerto", "bw")
     if designed and n < 3:
         violations.append(f"frequency-count: designed pattern has n = {n} < 3")
-    if designed and plan.ratio is None:
+    if designed and ratio is None:
         violations.append("ratio-missing: designed pattern lacks its common ratio")
 
-    if designed and ordered and n >= 3 and plan.ratio is not None:
+    if designed and ordered and n >= 3 and ratio is not None:
         # Offset chain (f_0 - f_{i+1})/(f_0 - f_i) must equal the stored ratio.
-        for i in range(1, n - 1):
-            lo = freqs[0] - freqs[i]
-            hi = freqs[0] - freqs[i + 1]
-            if abs(hi / lo - plan.ratio) > RATIO_RTOL * plan.ratio:
-                violations.append(
-                    f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {hi / lo!r} "
-                    f"differs from r = {plan.ratio!r} beyond {RATIO_RTOL:g} relative"
-                )
+        f_0 = freqs[0]
+        offsets = [f_0 - f for f in freqs[1:]]
+        chain_tol = RATIO_RTOL * ratio
+        violations += [
+            f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {q!r} "
+            f"differs from r = {ratio!r} beyond {RATIO_RTOL:g} relative"
+            for i, q in enumerate(map(operator.truediv, offsets[1:], offsets), start=1)
+            if abs(q - ratio) > chain_tol
+        ]
         if plan.pattern_kind == "bw":
-            rho = freqs[0] / plan.bandwidth_hz
-            if abs(plan.ratio - rho) > RATIO_RTOL * rho:
+            rho = f_0 / plan.bandwidth_hz
+            if abs(ratio - rho) > RATIO_RTOL * rho:
                 violations.append(
-                    f"ratio-mismatch: stored ratio {plan.ratio!r} differs from f_0/B = {rho!r}"
+                    f"ratio-mismatch: stored ratio {ratio!r} differs from f_0/B = {rho!r}"
                 )
 
     budget = plan.range_budget_m

@@ -304,6 +304,51 @@ def test_second_main_call_matches_the_first(capsys, monkeypatch):
     ]
 
 
+def test_main_dispatch_matches_the_top_level_parse(capsys, monkeypatch):
+    # main hands "name ..." straight to that subcommand's parser; every argv
+    # must come out as the top-level parser's parse of it does, in exit code,
+    # output and namespace
+    monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap by width
+    parser = build_parser()
+    top_level = []
+    parse_known_args = parser.parse_known_args
+
+    def spy(*args, **kwargs):
+        top_level.append(True)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    parsed_by_main = []
+
+    def record(args, config):
+        parsed_by_main.append(vars(args))
+        raise ConfigError("parsed")
+
+    monkeypatch.setattr(cli, "_resolve", record)
+    monkeypatch.setattr(cli, "load_config", lambda path: {})
+    argvs = _parser_argvs() + [
+        [], ["--help"], ["no-such-command"],
+        ["estimate"], ["estimate", "-h"], ["estimate", "--bogus"],
+    ]
+    for argv in argvs:
+        want = _parse(build_parser(), argv, capsys)
+        top_level.clear()
+        parsed_by_main.clear()
+        code, out, err = _run(capsys, argv)
+        if isinstance(want[0], dict):
+            assert parsed_by_main == [want[0]], argv
+            assert "command" in want[0]
+            assert want[1:] == ("", "")
+            assert (code, out, err) == (1, "", "unwrapkit: error: parsed\n"), argv
+        else:
+            assert (code, out, err) == want, argv
+            assert parsed_by_main == []
+        # only an argv that does not start with a subcommand's name reaches
+        # the top-level parser
+        assert top_level == ([] if argv and argv[0] in SUBCOMMANDS else [True]), argv
+
+
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     plan_file = tmp_path / "plan.csv"
     _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])

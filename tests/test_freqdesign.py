@@ -1,12 +1,14 @@
 """Frequency-pattern design, validation, and the plan file format."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from plan_oracle import validate_plan_oracle
 
 from unwrapkit import (
     FrequencyPlan,
@@ -369,3 +371,57 @@ def test_plan_csv_round_trip_property(plan):
     again = plan_from_csv(plan_to_csv(plan))
     assert again == plan
     assert _field_bits(again) == _field_bits(plan)
+
+
+#: A ratio or budget that is missing, NaN, infinite, negative or zero.
+_ODD_METADATA = st.sampled_from([None, math.nan, math.inf, -math.inf, -2.0, 0.0, -0.0])
+
+
+@st.composite
+def _broken_plans(draw):
+    """A designed or explicit plan, with its frequencies shuffled, one
+    repeated, negated or nudged, and its ratio and budget perturbed or odd."""
+    plan = draw(st.one_of(
+        _CONCERTO.map(lambda a: design_concerto_plan(*a)),
+        _BW.map(lambda a: _bw_plan_or_none(*a)).filter(lambda p: p is not None),
+        _EXPLICIT,
+    ))
+    freqs = list(plan.freqs_hz)
+    i = draw(st.integers(0, len(freqs) - 1))
+    edit = draw(st.sampled_from(["none", "shuffle", "repeat", "negate", "nudge"]))
+    if edit == "shuffle":
+        freqs = draw(st.permutations(freqs))
+    elif edit == "repeat":
+        freqs.insert(i, freqs[i])
+    elif edit == "negate":
+        freqs[i] = -freqs[i]
+    elif edit == "nudge":
+        freqs[i] *= 1.0 + draw(st.floats(-1e-6, 1e-6))
+
+    def perturbed(value):
+        near = st.floats(-1e-8, 1e-8).map(lambda e: value * (1.0 + e))
+        return draw(st.just(value) | _ODD_METADATA | (st.nothing() if value is None else near))
+
+    return FrequencyPlan(
+        freqs_hz=tuple(freqs),
+        c_m_s=plan.c_m_s,
+        pattern_kind=draw(st.sampled_from([plan.pattern_kind, "concerto", "bw"])),
+        range_budget_m=perturbed(plan.range_budget_m),
+        ratio=perturbed(plan.ratio),
+    )
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(plan=_broken_plans())
+# c / f overflows for a subnormal f; huge offsets of opposite signs overflow,
+# and their quotient, or an infinite ratio taken from it, is NaN
+@example(plan=FrequencyPlan(freqs_hz=(2.4e9, 1e-320), c_m_s=C))
+@example(plan=FrequencyPlan(freqs_hz=(2.4e9, 1e-320), c_m_s=C, pattern_kind="bw", ratio=2.0))
+@example(plan=FrequencyPlan(freqs_hz=(1.7e308, 1e308, -1.7e308), pattern_kind="concerto",
+                            range_budget_m=1.0, ratio=2.0))
+@example(plan=FrequencyPlan(freqs_hz=(1.7e308, -1e308, -1.5e308), pattern_kind="bw",
+                            ratio=math.inf))
+def test_validate_plan_matches_the_loop_oracle(plan):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_plan(plan) == validate_plan_oracle(plan)
