@@ -17,7 +17,6 @@ from .core import (
 from .errors import (
     ConfigError,
     DegeneratePlanError,
-    DuplicateEstimatorError,
     InfeasibleDesignError,
     InvalidArgumentError,
     UndefinedBoundError,
@@ -36,8 +35,6 @@ from .estimators import (
     fold_integers,
     lookup_estimator,
     ls_refine,
-    register_estimator,
-    registered_estimators,
     residual_estimate,
 )
 from .freqdesign import (
@@ -68,7 +65,6 @@ __all__ = [
     "C_VACUUM_M_S",
     "ConfigError",
     "DegeneratePlanError",
-    "DuplicateEstimatorError",
     "EstimateTrace",
     "FrequencyPlan",
     "InfeasibleDesignError",
@@ -98,8 +94,6 @@ __all__ = [
     "mix_seed",
     "plan_from_csv",
     "plan_to_csv",
-    "register_estimator",
-    "registered_estimators",
     "residual_estimate",
     "run_trials",
     "sigma_e",

@@ -26,11 +26,10 @@ class UndefinedBoundError(UnwrapKitError, ValueError):
 
 
 class UnknownEstimatorError(UnwrapKitError, KeyError):
-    """Estimator name not present in the registry."""
+    """Estimator name that is not one of ``bw``, ``concerto`` and ``ef``."""
 
-
-class DuplicateEstimatorError(UnwrapKitError, ValueError):
-    """Attempt to register an estimator under a name that is already taken."""
+    # KeyError's own __str__ quotes its message
+    __str__ = Exception.__str__
 
 
 class ConfigError(UnwrapKitError, ValueError):

@@ -1,6 +1,6 @@
 """Range estimators on multi-frequency phase observations.
 
-Three estimators are provided and registered by name:
+Three estimators are provided, looked up by name:
 
   * ``bw``       - the classical sequential chain over beat wavelengths,
                    finishing with a rounding step at lambda_0;
@@ -49,7 +49,6 @@ from .core import (
 )
 from .errors import (
     DegeneratePlanError,
-    DuplicateEstimatorError,
     InvalidArgumentError,
     UnknownEstimatorError,
 )
@@ -752,20 +751,15 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
 
 
 # ---------------------------------------------------------------------------
-# Estimator registry: name -> (PhaseObservation) -> EstimateTrace.
-# Immutable after startup in normal use; duplicate names are rejected.
+# The fixed estimator set: name -> (PhaseObservation) -> EstimateTrace.
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict = {}
-
-
-def register_estimator(name: str, fn) -> None:
-    if name in _REGISTRY:
-        raise DuplicateEstimatorError(f"estimator {name!r} is already registered")
-    _REGISTRY[name] = fn
+# A plain dict, so a test can patch in a wrapper with monkeypatch.setitem.
+_REGISTRY = {"bw": bw_estimate, "concerto": concerto_estimate, "ef": ef_estimate}
 
 
 def lookup_estimator(name: str):
+    """The estimator function named ``name``; UnknownEstimatorError if none."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -774,20 +768,12 @@ def lookup_estimator(name: str):
         ) from None
 
 
-def registered_estimators() -> tuple:
-    return tuple(sorted(_REGISTRY))
-
-
-register_estimator("bw", bw_estimate)
-register_estimator("concerto", concerto_estimate)
-register_estimator("ef", ef_estimate)
-
 #: Row-block forms of estimator functions, keyed by the function. Each kernel
 #: maps (plan constants, phases (B, N)) to (l_coarse_m, l_final_m), one (B,)
 #: array each, equal to what the function gives row by row (``l_final_m`` up
-#: to the summation order of the final fit's dot product). Only the registered
+#: to the summation order of the final fit's dot product). Only the
 #: ``concerto`` and ``bw`` functions have one. Any other function, including a
-#: wrapper around one of them or a function patched into the registry, has
-#: none: the Monte-Carlo harness then calls it on one observation per trial,
-#: so a wrapper sees every trial.
+#: wrapper around one of them patched into ``_REGISTRY``, has none: the
+#: Monte-Carlo harness then calls it on one observation per trial, so a
+#: wrapper sees every trial.
 BLOCK_KERNELS = {bw_estimate: _bw_rows, concerto_estimate: _concerto_rows}

@@ -22,8 +22,8 @@ implementations.
 Evaluation: a chunk is drawn, synthesized and estimated in row blocks of
 ``BLOCK_ROWS`` trials, one (B, N) array per block. ``concerto`` and ``bw``
 run their stage kernels on the whole block. An estimator without a
-row-block kernel (``ef``, a user-registered one, or any wrapper around a
-registered function) is called on one observation per trial, made by
+row-block kernel (``ef``, or any wrapper around ``concerto`` or ``bw``) is
+called on one observation per trial, made by
 :func:`synthesize_observation`; a block that needs those observations is
 synthesized trial by trial, so a wrapper of either name sees every trial.
 Either way the per-trial random streams, and so the synthesized phases, are

@@ -651,6 +651,18 @@ def test_exit_codes(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command, flag, value", [("estimate", "--method", "nope"),
+                                                  ("simulate", "--methods", "concerto,nope")])
+def test_unknown_estimator_message_is_not_quoted(tmp_path, capsys, command, flag, value):
+    plan_file = tmp_path / "plan.csv"
+    _run(capsys, ["design", *DESIGN_TAIL, "--out", str(plan_file)])
+    base = [str(plan_file) if v == "PLAN" else v for v in BASE_ARGS[command]]
+    code, out, err = _run(capsys, [command, *base, flag, value])
+    assert (code, out) == (1, "")
+    assert err == (
+        "unwrapkit: error: unknown estimator 'nope'; registered: ['bw', 'concerto', 'ef']\n")
+
+
 @pytest.mark.parametrize("field, value", [("ratio", "nan"), ("ratio", "inf"),
                                           ("range_budget_m", "nan")])
 def test_plan_file_with_non_finite_metadata_is_refused(tmp_path, capsys, field, value):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from unwrapkit import (
     DegeneratePlanError,
-    DuplicateEstimatorError,
     FrequencyPlan,
     InvalidArgumentError,
     NoiseSpec,
@@ -38,8 +37,6 @@ from unwrapkit import (
     lookup_estimator,
     ls_refine,
     mix_seed,
-    register_estimator,
-    registered_estimators,
     residual_estimate,
     sigma_e,
     synthesize_observation,
@@ -881,16 +878,16 @@ def test_ef_threads_match_sequential():
 # -- registry ---------------------------------------------------------------
 
 def test_registry_lookup():
-    assert lookup_estimator("concerto") is concerto_estimate
-    assert lookup_estimator("bw") is bw_estimate
-    assert set(registered_estimators()) >= {"concerto", "bw", "ef"}
+    functions = {"bw": bw_estimate, "concerto": concerto_estimate, "ef": ef_estimate}
+    assert estimators._REGISTRY.keys() == functions.keys()
+    assert all(lookup_estimator(name) is fn for name, fn in functions.items())
+    # ef has no row-block kernel
+    assert estimators.BLOCK_KERNELS.keys() == {concerto_estimate, bw_estimate}
 
 
-def test_registry_unknown_and_duplicate():
+def test_registry_unknown_name():
     with pytest.raises(UnknownEstimatorError):
         lookup_estimator("dcrt")
-    with pytest.raises(DuplicateEstimatorError):
-        register_estimator("concerto", concerto_estimate)
 
 
 # -- row-block kernels against the scalar estimators --------------------------
