@@ -204,8 +204,7 @@ def _plan_for(args):
 
 
 def _cmd_design(args):
-    _emit(plan_to_csv(_plan_for(args)), args.out)
-    return 0
+    return plan_to_csv(_plan_for(args))
 
 
 def _cmd_estimate(args):
@@ -227,14 +226,12 @@ def _cmd_estimate(args):
         "fold_ints," + ";".join(map(str, trace.fold_ints)),
         f"delta_m,{'nan' if trace.delta_m is None else repr(trace.delta_m)}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_crb(args):
     bound = crb(_plan_for(args), NoiseSpec.from_snr_db(args.snr_db))
-    _emit(f"crb_m2,rmse_m\n{bound!r},{math.sqrt(bound)!r}\n", args.out)
-    return 0
+    return f"crb_m2,rmse_m\n{bound!r},{math.sqrt(bound)!r}\n"
 
 
 def _cmd_simulate(args):
@@ -250,8 +247,7 @@ def _cmd_simulate(args):
         truth_m=args.truth_m,
         truth_halfwidth_m=args.truth_halfwidth,
     )
-    _emit(sweep_snr(cfg, snr_list).to_csv(), args.out)
-    return 0
+    return sweep_snr(cfg, snr_list).to_csv()
 
 
 def _cmd_sweep_range(args):
@@ -263,8 +259,7 @@ def _cmd_sweep_range(args):
     for row in report.rows:
         if row.error and not args.quiet:
             print(f"sweep-range: K={row.sweep_param:g} m skipped: {row.error}", file=sys.stderr)
-    _emit(report.to_csv(), args.out)
-    return 0
+    return report.to_csv()
 
 
 def _cmd_threshold(args):
@@ -278,16 +273,15 @@ def _cmd_threshold(args):
         )
         value = "above_grid" if result.threshold_db is None else repr(result.threshold_db)
         lines.append(f"{n},{value}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 _DESIGN = ("f_high", "f_low", "n", "k", "c")
 
-#: Every subcommand: name -> (handler, help, the ``SETTINGS`` entries it
-#: reads, whether it reads ``--config``, its other arguments as (flag,
-#: ``add_argument`` keywords)). Its parser takes ``--config``, ``--out``, a
-#: flag per setting and then the other arguments, in that order.
+#: Every subcommand: name -> (handler, which returns the text ``main`` writes,
+#: help, the ``SETTINGS`` entries it reads, whether it reads ``--config``, its
+#: other arguments as (flag, ``add_argument`` keywords)). Its parser takes
+#: ``--config``, ``--out``, a flag per setting and the other arguments, in order.
 SUBCOMMANDS = {
     "design": (
         _cmd_design, "design a frequency plan and print it as CSV", _DESIGN, True, (
@@ -397,7 +391,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 1
     try:
         _resolve(args, load_config(args.config) if getattr(args, "config", None) else {})
-        return args.func(args)
+        _emit(args.func(args), args.out)
+        return 0
     except (ConfigError, UnknownEstimatorError) as exc:
         print(f"unwrapkit: error: {exc}", file=sys.stderr)
         return 1

@@ -21,8 +21,8 @@ TWO_PI = 2.0 * math.pi
 #: Default propagation speed (vacuum speed of light, m/s).
 C_VACUUM_M_S = 299_792_458.0
 
-#: Relative tolerance of the UMR bounds on a search range, truth or truth
-#: half-width: a designed plan's range budget K equals its UMR up to rounding.
+#: Relative tolerance of the UMR bounds on a range budget K, truth or truth
+#: half-width: a designed plan's K equals its UMR up to rounding.
 UMR_RTOL = 1e-9
 
 _PATTERN_KINDS = ("concerto", "bw", "explicit")

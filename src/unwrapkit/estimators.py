@@ -220,8 +220,10 @@ class PlanConstants:
         return self.two_pi_inv_lam[:-1] - self.two_pi_inv_lam[1:]
 
     @_lazy
-    def umr_m(self) -> float:
-        return self.plan.umr_m
+    def search_range_m(self) -> float:
+        """The plan's range K: its range budget, else its UMR."""
+        budget = self.plan.range_budget_m
+        return self.plan.umr_m if budget is None else budget
 
     @_lazy
     def ef_screen_index(self) -> np.ndarray:
@@ -603,8 +605,8 @@ def _ef_best(k: PlanConstants, l_cand, phase_turns, views):
     first candidate that has it and the nearest integers to that candidate's
     l/lambda_i - phi_i/2pi, as (score, range, integers). Candidates go in
     chunks of at most ``k.ef_full_rows``, laid out (rows, N) in the buffers of
-    ``views``; a score is ``einsum`` over a row of the squared distances to
-    those integers, i >= 1, as in the one-pass scan."""
+    ``views``; a score is ``einsum`` over its own row of the squared distances
+    to those integers, i >= 1, so the chunking does not change it."""
     n = phase_turns.size
     rows = k.ef_full_rows
     best = (math.inf,)
@@ -630,16 +632,17 @@ def _ef_chain(k: PlanConstants, phases: np.ndarray, l_final: float) -> np.ndarra
     return _round_half_away_arr(l_final / k.beat_lam - bp)
 
 
-def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrace:
-    """Excess-fractions estimate over the search range ``k_m``.
+def ef_estimate(obs: PhaseObservation) -> EstimateTrace:
+    """Excess-fractions estimate over the plan's range K, ``search_range_m``.
 
-    Every candidate location at lambda_0 inside +/- k/2 (plus one cycle of
+    Every candidate location at lambda_0 inside +/- K/2 (plus one cycle of
     guard) is scored by the summed squared distance of its implied folding
     fractions to the nearest integers; the winner is refined by the final
-    least-squares fit. Cost is linear in k, and a search of more than
-    ``_EF_MAX_CANDIDATES`` candidates raises :class:`InvalidArgumentError`.
+    least-squares fit. Cost is linear in K. A K that is not finite, positive
+    and at most the UMR, or a search of more than ``_EF_MAX_CANDIDATES``
+    candidates, raises :class:`InvalidArgumentError`.
 
-    The scan is exact and has one path for every k. Candidates go in blocks
+    The scan is exact and has one path for every K. Candidates go in blocks
     of ``_EF_BLOCK``, and each block in chunks of the per-thread buffers of
     :func:`_ef_scratch`:
 
@@ -677,14 +680,12 @@ def ef_estimate(obs: PhaseObservation, k_m: float | None = None) -> EstimateTrac
     """
     plan = obs.plan
     k = plan_constants(plan)
-    umr_m = k.umr_m
-    if k_m is None:
-        k_m = plan.range_budget_m if plan.range_budget_m is not None else umr_m
+    k_m = k.search_range_m
     if not (k_m > 0.0 and math.isfinite(k_m)):
         raise InvalidArgumentError("search range must be positive and finite")
-    if k_m > umr_m * (1.0 + UMR_RTOL):
+    if k_m > plan.umr_m * (1.0 + UMR_RTOL):
         raise InvalidArgumentError(
-            f"search range {k_m!r} m exceeds the unambiguous range {umr_m!r} m"
+            f"search range {k_m!r} m exceeds the unambiguous range {plan.umr_m!r} m"
         )
     lam0 = k.lam0
     m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)

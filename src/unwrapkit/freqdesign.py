@@ -18,11 +18,11 @@ import math
 import operator
 from dataclasses import replace
 
-from .core import C_VACUUM_M_S, FrequencyPlan
+from .core import C_VACUUM_M_S, UMR_RTOL, FrequencyPlan
 from .errors import InfeasibleDesignError, InvalidArgumentError
 
-#: Relative tolerance for the common-ratio structure of designed plans, and
-#: for a plan's UMR against its range budget K.
+#: Relative tolerance for the common-ratio structure of designed plans; a
+#: plan's UMR is held to its range budget K with :data:`~unwrapkit.core.UMR_RTOL`.
 RATIO_RTOL = 1e-9
 
 
@@ -105,7 +105,7 @@ def design_bw_plan(
     # As n grows the smallest offset B*rho^-(N-2) is resolved ever more
     # coarsely by f_0: first the offset ratios miss rho, then the top
     # frequencies collapse onto f_0, long before rho^(N-2) could overflow.
-    # The closed-form budget can miss c/(f_0 - f_1) beyond RATIO_RTOL while
+    # The closed-form budget can miss c/(f_0 - f_1) beyond UMR_RTOL while
     # the ratios still hold, so the plan is checked again with its budget.
     plan = FrequencyPlan(freqs_hz=tuple(freqs), c_m_s=c_m_s, pattern_kind="bw", ratio=rho)
     violations = validate_plan(plan)
@@ -185,7 +185,7 @@ def validate_plan(plan: FrequencyPlan) -> list:
     if budget is not None and math.isfinite(budget):
         if not budget > 0.0:
             violations.append(f"range-budget: K = {budget!r} m is not positive")
-        elif ordered and plan.umr_m < budget * (1.0 - RATIO_RTOL):
+        elif ordered and plan.umr_m < budget * (1.0 - UMR_RTOL):
             violations.append(
                 f"umr-below-budget: UMR = {plan.umr_m!r} m is below K = {budget!r} m"
             )

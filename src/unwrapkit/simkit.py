@@ -198,11 +198,12 @@ class TrialConfig:
     """One Monte-Carlo batch: plan, noise level, trial count, seed, truth.
 
     A given ``truth_m`` fixes every trial's truth there; otherwise the range
-    is drawn uniformly over +/- ``truth_halfwidth_m`` (default K/2), so the
-    two are not given together. A fixed truth must be finite with magnitude
-    at most UMR/2, and a half-width finite, positive and at most UMR/2 (both
-    with the relative tolerance :data:`unwrapkit.core.UMR_RTOL`), since no
-    estimator can place a truth beyond it.
+    is drawn uniformly over +/- ``truth_halfwidth_m`` (default K/2, with K the
+    plan's finite, positive ``search_range_m``), so the two are not given
+    together. A fixed truth must be finite with magnitude at most UMR/2, and
+    a half-width finite, positive and at most UMR/2 (both with the relative
+    tolerance :data:`unwrapkit.core.UMR_RTOL`), since no estimator can place
+    a truth beyond it.
     """
 
     plan: FrequencyPlan
@@ -251,13 +252,13 @@ class TrialConfig:
             return 0.0
         if self.truth_halfwidth_m is not None:
             return self.truth_halfwidth_m
-        budget = self.plan.range_budget_m
-        if budget is None:
-            budget = self.plan.umr_m
-        if not math.isfinite(budget):
+        k_m = plan_constants(self.plan).search_range_m
+        if not math.isfinite(k_m):
             raise ConfigError("uniform truths need a finite range budget: give truth_m or "
                               "truth_halfwidth_m")
-        return budget / 2.0
+        if not k_m > 0.0:
+            raise ConfigError(f"uniform truths need a positive range budget, got K = {k_m!r} m")
+        return k_m / 2.0
 
 
 @dataclass
@@ -479,7 +480,7 @@ def sweep_snr(cfg: TrialConfig, snr_db_list) -> SimReport:
 SWEEP_TRUTH_FRACTION = 0.25
 
 
-def _concerto_point(plan, noise, trials, seed, k_m, sweep_param) -> SimReport:
+def _concerto_point(plan, noise, trials, seed, sweep_param) -> SimReport:
     """``concerto`` alone at one sweep point, truths uniform over +/- fraction * K."""
     cfg = TrialConfig(
         plan=plan,
@@ -487,7 +488,7 @@ def _concerto_point(plan, noise, trials, seed, k_m, sweep_param) -> SimReport:
         trials=trials,
         seed=seed,
         methods=("concerto",),
-        truth_halfwidth_m=SWEEP_TRUTH_FRACTION * k_m,
+        truth_halfwidth_m=SWEEP_TRUTH_FRACTION * plan.range_budget_m,
     )
     return run_trials(cfg, sweep_param=sweep_param)
 
@@ -519,7 +520,7 @@ def sweep_range(
                 SimRow(sweep_param=float(k), method="concerto", n_trials=0, error=str(exc))
             )
             continue
-        report.rows.extend(_concerto_point(plan, noise, trials, seed, k, k).rows)
+        report.rows.extend(_concerto_point(plan, noise, trials, seed, k).rows)
     return report
 
 
@@ -560,7 +561,7 @@ def snr_threshold(
     threshold = None
     for snr_db in grid:
         noise = NoiseSpec.from_snr_db(snr_db)
-        row = _concerto_point(plan, noise, trials, seed, k_m, snr_db).rows[0]
+        row = _concerto_point(plan, noise, trials, seed, snr_db).rows[0]
         rows.append(row)
         if row.p_fail_lambda0 <= p_threshold:
             threshold = snr_db

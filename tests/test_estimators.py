@@ -8,9 +8,11 @@ Oracles used here:
   * Gaussian tail rates for the chain rounding steps.
 """
 
+import inspect
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -539,6 +541,13 @@ def test_bw_noiseless_and_m0_reliability():
     assert good / trials >= 0.99
 
 
+def _ef_over(obs, k_m):
+    """``ef_estimate`` on ``obs`` with its plan's range budget, the range K
+    that ``ef`` searches, set to ``k_m``."""
+    plan = replace(obs.plan, range_budget_m=k_m)
+    return ef_estimate(PhaseObservation(obs.phases_rad, plan, obs.truth_m))
+
+
 def test_ef_noiseless_and_bounds():
     rng = np.random.default_rng(83)
     for _ in range(20):
@@ -548,9 +557,9 @@ def test_ef_noiseless_and_bounds():
     assert ef_estimate(true_phases(0.0, PLAN51)).l_final_m == 0.0
 
     with pytest.raises(InvalidArgumentError):
-        ef_estimate(true_phases(0.0, PLAN51), k_m=2 * PLAN51.umr_m)
+        _ef_over(true_phases(0.0, PLAN51), 2 * PLAN51.umr_m)
     with pytest.raises(InvalidArgumentError):
-        ef_estimate(true_phases(0.0, PLAN51), k_m=-1.0)
+        _ef_over(true_phases(0.0, PLAN51), -1.0)
     # negative frequencies give a negative lambda_0, so no candidate lies
     # between the search bounds
     negative = FrequencyPlan(freqs_hz=(-1e9, -1.001e9), c_m_s=C)
@@ -643,7 +652,7 @@ def _one_pass_ef_oracle(obs, k_m):
 
 
 def _assert_ef_matches_oracle(obs, k_m):
-    trace = ef_estimate(obs, k_m)
+    trace = _ef_over(obs, k_m)
     got = (trace.l_coarse_m, trace.l_final_m, trace.fold_ints, trace.delta_m)
     assert got == _one_pass_ef_oracle(obs, k_m)
     if obs.plan.n > 1:
@@ -722,7 +731,7 @@ def test_ef_scan_matches_one_pass_oracle():
         obs = PhaseObservation(np.array([0.7]), plan, truth_m=3.0)
         _assert_ef_matches_oracle(obs, k_m)
         m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)
-        assert ef_estimate(obs, k_m).l_coarse_m == (m_lo + 0.7 / TWO_PI) * lam0
+        assert _ef_over(obs, k_m).l_coarse_m == (m_lo + 0.7 / TWO_PI) * lam0
 
 
 
@@ -744,7 +753,7 @@ def test_ef_leaves_numpy_settings_as_found():
         assert settings() == before
         for k_m in refused:
             with pytest.raises(InvalidArgumentError):
-                ef_estimate(obs, k_m)
+                _ef_over(obs, k_m)
             assert settings() == before
 
     seen = []
@@ -883,6 +892,12 @@ def test_registry_lookup():
     assert all(lookup_estimator(name) is fn for name, fn in functions.items())
     # ef has no row-block kernel
     assert estimators.BLOCK_KERNELS.keys() == {concerto_estimate, bw_estimate}
+
+
+def test_every_estimator_takes_one_observation():
+    # (PhaseObservation) -> EstimateTrace: ef searches its plan's range K
+    for name, fn in estimators._REGISTRY.items():
+        assert len(inspect.signature(fn).parameters) == 1, name
 
 
 def test_registry_unknown_name():

@@ -204,6 +204,23 @@ def test_truth_config_validation():
         assert TrialConfig(**base, truth_m=truth).truth_m == truth
 
 
+def test_uniform_truths_refuse_a_non_positive_range_budget(monkeypatch):
+    # A library plan may carry a K that the CLI's plan validation refuses:
+    # K = 0 would put every truth at 0, and numpy refuses a draw at K < 0.
+    def no_draw(seeds):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(simkit, "_trial_streams", no_draw)
+    for budget in (0.0, -40.0):
+        cfg = TrialConfig(plan=replace(PLAN, range_budget_m=budget), noise=NoiseSpec(0.01),
+                          trials=50, seed=1)
+        message = f"uniform truths need a positive range budget, got K = {budget!r} m"
+        for call in (cfg.resolved_halfwidth, lambda: run_trials(cfg)):
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert str(err.value) == message
+
+
 def test_fixed_truth_policy():
     cfg = TrialConfig(
         plan=PLAN, noise=NoiseSpec(0.0), trials=50, seed=4,
