@@ -36,6 +36,7 @@ import contextvars
 import math
 import threading
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -73,6 +74,9 @@ def _round_half_away(v: float) -> int:
 class EstimateTrace:
     """Every intermediate quantity of a single estimate. Immutable.
 
+    Each field is a read-only property over a private slot, so assigning
+    to a field, or to an attribute the class does not have, raises
+    ``AttributeError``.
     ``l_mid_m`` always equals ``l_coarse_m + l_residual_m`` exactly as
     computed. ``delta_m`` is filled when the observation carried its truth.
     ``m_chain`` and ``fold_ints`` read as tuples of ints. Either may be handed
@@ -82,24 +86,27 @@ class EstimateTrace:
     """
 
     __slots__ = (
-        "method", "_m_chain", "l_coarse_m", "l_residual_m", "l_mid_m",
-        "_fold_ints", "l_final_m", "delta_m",
+        "_method", "_m_chain", "_l_coarse_m", "_l_residual_m", "_l_mid_m",
+        "_fold_ints", "_l_final_m", "_delta_m",
     )
 
     def __init__(self, method, m_chain, l_coarse_m, l_residual_m, l_mid_m,
                  fold_ints, l_final_m, delta_m=None):
-        init = object.__setattr__
-        init(self, "method", method)
-        init(self, "_m_chain", m_chain)
-        init(self, "l_coarse_m", l_coarse_m)
-        init(self, "l_residual_m", l_residual_m)
-        init(self, "l_mid_m", l_mid_m)
-        init(self, "_fold_ints", fold_ints)
-        init(self, "l_final_m", l_final_m)
-        init(self, "delta_m", delta_m)
+        self._method = method
+        self._m_chain = m_chain
+        self._l_coarse_m = l_coarse_m
+        self._l_residual_m = l_residual_m
+        self._l_mid_m = l_mid_m
+        self._fold_ints = fold_ints
+        self._l_final_m = l_final_m
+        self._delta_m = delta_m
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EstimateTrace is immutable; cannot set {name!r}")
+    method = property(attrgetter("_method"))
+    l_coarse_m = property(attrgetter("_l_coarse_m"))
+    l_residual_m = property(attrgetter("_l_residual_m"))
+    l_mid_m = property(attrgetter("_l_mid_m"))
+    l_final_m = property(attrgetter("_l_final_m"))
+    delta_m = property(attrgetter("_delta_m"))
 
     def _int_field(self, slot: str) -> tuple:
         values = getattr(self, slot)
@@ -109,7 +116,7 @@ class EstimateTrace:
             if isinstance(values, np.ndarray):
                 values = values.tolist()
             values = tuple(map(int, values))
-            object.__setattr__(self, slot, values)
+            setattr(self, slot, values)
         return values
 
     @property
@@ -287,20 +294,24 @@ def _chain(k: PlanConstants, phases: np.ndarray):
     on one observation and -0.0 in a block; the next stage adds it to +0.0,
     so the integers and the beat phase in turns still match.
 
-    One observation folds each beat phase phi_0 - phi_i inside its Python
-    loop instead of calling :func:`wrap_inplace`. That relies on every phase
-    lying in (-pi, pi], as :class:`PhaseObservation` enforces: a difference
-    then lies in [-2*pi, 2*pi], where wrap_inplace's ``fmod`` changes only
-    -2*pi (to -0.0) and 2*pi (to +0.0, which subtracting 2*pi also gives),
-    so one correction, with -2*pi mapped to -0.0, gives the same bits.
+    One observation reads its phases once as Python floats, then takes each
+    beat phase phi_0 - phi_i and folds it inside its Python loop, instead of
+    a numpy difference and :func:`wrap_inplace`. Both subtractions round the
+    same float64 operands, so the difference has the same bits. The fold
+    relies on every phase lying in (-pi, pi], as :class:`PhaseObservation`
+    enforces: a difference then lies in [-2*pi, 2*pi], where wrap_inplace's
+    ``fmod`` changes only -2*pi (to -0.0) and 2*pi (to +0.0, which
+    subtracting 2*pi also gives), so one correction, with -2*pi mapped to
+    -0.0, gives the same bits.
     """
     ratios = k.beat_ratios
     if phases.ndim == 1:
         # One observation: a Python-float loop, since (1, N) column
         # arithmetic costs about 15x more.
         pi, two_pi, inv_two_pi = math.pi, TWO_PI, _INV_TWO_PI
-        diffs = (phases[0] - phases[1:]).tolist()
-        b = diffs[0]
+        phases = phases.tolist()
+        phi0 = phases[0]
+        b = phi0 - phases[1]
         if b > pi:
             b -= two_pi
         elif b <= -pi:
@@ -308,8 +319,9 @@ def _chain(k: PlanConstants, phases: np.ndarray):
         b *= inv_two_pi
         m = 0.0
         m_chain = [m]
-        for b_next, ratio in zip(diffs[1:], ratios):
+        for phi, ratio in zip(phases[2:], ratios):
             # the fold of b above, inlined to save a call per stage
+            b_next = phi0 - phi
             if b_next > pi:
                 b_next -= two_pi
             elif b_next <= -pi:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from unwrapkit import (
     DegeneratePlanError,
+    EstimateTrace,
     FrequencyPlan,
     InvalidArgumentError,
     NoiseSpec,
@@ -472,16 +473,73 @@ def test_concerto_stages_match_stage_functions():
         assert trace.l_final_m == ls_refine(obs, trace.fold_ints)
 
 
-def test_trace_integer_fields_and_immutability():
+_TRACE_FIELDS = ("method", "m_chain", "l_coarse_m", "l_residual_m", "l_mid_m",
+                 "fold_ints", "l_final_m", "delta_m")
+_TRACE_RANGES = ("l_coarse_m", "l_residual_m", "l_mid_m", "l_final_m", "delta_m")
+
+
+def _counting(fn, calls, key):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+    return counted
+
+
+def test_trace_integer_fields_and_immutability(monkeypatch):
+    # bw's fold integers and ef's chain integers are computed on first read,
+    # through these module-level functions
+    calls = {"fold_integers": 0, "_ef_chain": 0}
+    for name in calls:
+        monkeypatch.setattr(estimators, name, _counting(getattr(estimators, name), calls, name))
+
     obs = true_phases(12.5, PLAN51)
-    for fn in (concerto_estimate, bw_estimate):
+    for fn in (concerto_estimate, bw_estimate, ef_estimate):
         trace = fn(obs)
+        assert calls == {"fold_integers": 0, "_ef_chain": 0}
         assert trace.m_chain == tuple(coarse_estimate(obs)[1].tolist())
         for field in (trace.m_chain, trace.fold_ints):
             assert type(field) is tuple
             assert all(type(v) is int for v in field)
+        for _ in range(3):
+            trace.m_chain, trace.fold_ints
+        lazy = {"bw": "fold_integers", "ef": "_ef_chain"}.get(trace.method)
+        assert calls == {name: int(name == lazy) for name in calls}
+        calls.update(dict.fromkeys(calls, 0))
+        # plain Python floats, so `cli estimate` prints 12.5, not np.float64(12.5)
+        for name in _TRACE_RANGES:
+            assert type(getattr(trace, name)) is float, (trace.method, name)
+
+        before = {name: getattr(trace, name) for name in _TRACE_FIELDS}
+        for name in _TRACE_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(trace, name, before[name])
         with pytest.raises(AttributeError):
-            trace.l_final_m = 0.0
+            trace.extra = 1
+        assert {name: getattr(trace, name) for name in _TRACE_FIELDS} == before
+
+        # the keyword constructor, with integer fields handed over as
+        # functions: each is called once, however often it is read
+        built_calls = {"m_chain": 0, "fold_ints": 0}
+        built = EstimateTrace(**{
+            name: _counting(lambda v=value: list(v), built_calls, name)
+            if name in built_calls else value
+            for name, value in before.items()
+        })
+        for _ in range(3):
+            assert {name: getattr(built, name) for name in _TRACE_FIELDS} == before
+        assert repr(built) == repr(trace)
+        assert built_calls == {"m_chain": 1, "fold_ints": 1}
+
+    fixed = EstimateTrace(
+        method="concerto", m_chain=[0, 1.0, -2], l_coarse_m=1.5, l_residual_m=-0.25,
+        l_mid_m=1.25, fold_ints=np.array([3.0, -1.0, 0.0]), l_final_m=0.1 + 0.2,
+        delta_m=-2.5e-13,
+    )
+    assert repr(fixed) == (
+        "EstimateTrace(method='concerto', m_chain=(0, 1, -2), l_coarse_m=1.5, "
+        "l_residual_m=-0.25, l_mid_m=1.25, fold_ints=(3, -1, 0), "
+        "l_final_m=0.30000000000000004, delta_m=-2.5e-13)"
+    )
 
 
 def test_stage2_regime_invariant():
