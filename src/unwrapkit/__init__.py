@@ -26,7 +26,6 @@ from .errors import (
 from .estimators import (
     EstimateTrace,
     beat_wavelengths,
-    build_w,
     bw_estimate,
     coarse_estimate,
     compensate_phases,
@@ -79,7 +78,6 @@ __all__ = [
     "UnknownEstimatorError",
     "UnwrapKitError",
     "beat_wavelengths",
-    "build_w",
     "bw_estimate",
     "coarse_estimate",
     "compensate_phases",

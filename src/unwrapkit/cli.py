@@ -36,7 +36,7 @@ from .errors import (
     UndefinedBoundError,
     UnknownEstimatorError,
 )
-from .estimators import lookup_estimator
+from .estimators import _EF_MAX_CANDIDATES, lookup_estimator, plan_constants
 from .freqdesign import (
     design_bw_plan,
     design_concerto_plan,
@@ -234,6 +234,28 @@ def _cmd_crb(args):
     return f"crb_m2,rmse_m\n{bound!r},{math.sqrt(bound)!r}\n"
 
 
+#: ``simulate`` notes on stderr, before its first SNR point, when ``ef`` is
+#: among its methods and scans more than this many candidates per trial (and
+#: no more than ``ef`` accepts).
+EF_NOTICE_CANDIDATES = 10**6
+
+
+def _ef_notice(cfg: TrialConfig, points: int) -> None:
+    """The stderr note of a long ``ef`` scan; its candidate count is the one
+    :func:`unwrapkit.estimators.ef_estimate` scans at the plan's range K."""
+    if "ef" not in cfg.methods:
+        return
+    k = plan_constants(cfg.plan)
+    half = k.search_range_m / (2.0 * k.lam0)
+    if not math.isfinite(half):
+        return  # ef_estimate refuses such a K
+    candidates = math.floor(half + 1.0) - math.ceil(-half - 1.0) + 1
+    if EF_NOTICE_CANDIDATES < candidates <= _EF_MAX_CANDIDATES:
+        print(f"simulate: ef scans {candidates:,} candidates per trial; trials per SNR "
+              f"point: {cfg.trials:,}, SNR points: {points} (--methods concerto,bw leaves "
+              "ef out)", file=sys.stderr)
+
+
 def _cmd_simulate(args):
     plan = _plan_for(args)
     _require(args, "snr_db_list")
@@ -247,6 +269,7 @@ def _cmd_simulate(args):
         truth_m=args.truth_m,
         truth_halfwidth_m=args.truth_halfwidth,
     )
+    _ef_notice(cfg, len(snr_list))
     return sweep_snr(cfg, snr_list).to_csv()
 
 

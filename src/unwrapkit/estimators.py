@@ -5,18 +5,19 @@ Three estimators are provided, looked up by name:
   * ``bw``       - the classical sequential chain over beat wavelengths,
                    finishing with a rounding step at lambda_0;
   * ``concerto`` - three coherent stages: the same chain stopped at the
-                   finest beat wavelength (coarse), a closed-form weighted
-                   least-squares residual over adjacent wrapped differences
-                   of the compensated phases, and a final scalar
-                   least-squares fit over all unwrapped phases;
+                   finest beat wavelength (coarse), a closed-form residual,
+                   the least-squares slope of the compensated phases against
+                   frequency, unwrapped through their adjacent wrapped
+                   differences, and a final scalar least-squares fit over
+                   all unwrapped phases;
   * ``ef``       - excess fractions: the best-scoring candidate location at
                    lambda_0, refined by the same final fit. Every candidate
                    is screened on a few fraction columns, and only those the
                    screen cannot rule out get a full score; the winner is
                    the one exhaustive scoring finds, bit for bit.
 
-No matrix inversion or decomposition happens at estimate time: the residual
-weight matrix has a closed-form entry formula and the final fit is a scalar
+No matrix is built, inverted or decomposed, per plan or per estimate: the
+residual slope fit needs O(N) per-plan weights and the final fit is a scalar
 quotient. Per-plan constants are cached, so repeated estimates on one plan
 only pay for the per-observation arithmetic. All entry points are pure
 functions and safe for concurrent use.
@@ -136,19 +137,6 @@ class EstimateTrace:
         )
 
 
-def build_w(n: int) -> np.ndarray:
-    """Residual-stage weight matrix for an n-frequency plan, shape (n-1, n-1):
-    (n * min(j, k) - j * k) / n for j, k = 1..n-1, one operation at a time."""
-    if n < 2:
-        raise InvalidArgumentError(f"weight matrix needs n >= 2, got {n}")
-    idx = np.arange(1, n, dtype=float)
-    w = np.minimum.outer(idx, idx)
-    w *= n
-    w -= np.multiply.outer(idx, idx)
-    w /= n
-    return w
-
-
 class _lazy:
     """A per-instance constant computed on first read and kept in the
     instance dict, where it then shadows this non-data descriptor. Unlike
@@ -175,19 +163,22 @@ class PlanConstants:
     stages that need neither (fold integers, final fit) also work on plans
     with fewer than two frequencies or repeated wavelengths; a stage that
     does need them raises the degenerate-plan error it always raised.
-    Every constant comes from one frequency array, where ``c / f_i`` rounds as
-    in ``plan.wavelengths_m``: each has the bits of the formula it replaced.
+    The wavelength, chain and final-fit constants come from one frequency
+    array, where ``c / f_i`` rounds as in ``plan.wavelengths_m``, so each has
+    the bits of its formula on the wavelength tuple. The residual weights
+    ``w_delta_f`` and ``residual_denom`` match W @ df and df' W df of
+    :func:`residual_estimate`'s weighted form to 1e-12 relative, not bit for
+    bit.
     """
 
     def __init__(self, plan: FrequencyPlan):
         self.plan = plan
-        freqs = np.array(plan.freqs_hz)
+        self.freqs = freqs = np.array(plan.freqs_hz)
         self.lam = lam = plan.c_m_s / freqs
         self.lam0 = float(lam[0])
         self.inv_lam = 1.0 / lam
         self.inv_sq_sum = float(self.inv_lam @ self.inv_lam)
         self.two_pi_inv_lam = TWO_PI * self.inv_lam
-        self.delta_f = -(freqs[1:] - freqs[:-1])
 
     @_lazy
     def beat_lam(self) -> np.ndarray:
@@ -208,14 +199,29 @@ class PlanConstants:
         return float(self.beat_lam[-1])
 
     @_lazy
+    def centred_freqs(self) -> np.ndarray:
+        """f_i - mean(f), centred from the offsets f_i - f_0, which are exact
+        when every f_i is at least f_0/2, so a narrow band keeps its digits."""
+        freqs = self.freqs
+        if freqs.size < 2:
+            raise InvalidArgumentError("the residual stage needs at least two frequencies")
+        centred = freqs - freqs[0]
+        # np.mean's sum as its bare ufunc: at these sizes the Python wrappers
+        # of np.mean and np.cumsum cost more than their arithmetic
+        centred -= np.add.reduce(centred) / freqs.size
+        return centred
+
+    @_lazy
     def w_delta_f(self) -> np.ndarray:
-        """W @ delta_f, with delta_f_i = f_i - f_{i+1}."""
-        return build_w(self.plan.n) @ self.delta_f
+        """Residual weights: cumsum(f - mean f) over the first N-1 entries,
+        taken with np.cumsum's bare ufunc."""
+        return np.add.accumulate(self.centred_freqs[:-1])
 
     @_lazy
     def residual_denom(self) -> float:
-        """delta_f' W delta_f."""
-        denom = float(self.delta_f @ self.w_delta_f)
+        """sum_i (f_i - mean f)^2."""
+        centred = self.centred_freqs
+        denom = float(centred.dot(centred))
         if denom == 0.0:
             raise DegeneratePlanError("residual stage denominator is zero")
         return denom
@@ -366,21 +372,25 @@ def compensate_phases(obs: PhaseObservation, l_c: float) -> np.ndarray:
 
 def _residual(k: PlanConstants, dphi: np.ndarray):
     """Residual-stage kernel on the wrapped adjacent differences ``dphi``,
-    shape (..., N-1)."""
+    shape (..., N-1): the phase-slope fit of :func:`residual_estimate`."""
     return (k.plan.c_m_s / TWO_PI) * dphi.dot(k.w_delta_f) / k.residual_denom
 
 
 def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
     """Closed-form residual range from compensated phases.
 
-    Weighted least squares over the adjacent wrapped differences of the
-    compensated phases:
+    The least-squares slope of phase against frequency, the phases unwrapped
+    by summing their wrapped adjacent differences
+    dphi_i = wrap(phi_i - phi_{i+1}):
 
-        L_r = (c / 2*pi) * (df' W dphi) / (df' W df)
+        L_r = (c / 2*pi) * sum_i S_i dphi_i / sum_i (f_i - mean f)^2,
+        S_i = sum_{j <= i} (f_j - mean f),  i = 0..N-2.
 
-    The closed form is exact only for residuals inside +/- c/(2B); outside
-    that regime a value is still returned, and the failure shows up
-    statistically rather than as an error.
+    It equals the weighted least-squares form (df' W dphi) / (df' W df), with
+    df_i = f_i - f_{i+1} and W = Gamma' (I - uu'/N) Gamma, (N-1, N-1), but
+    builds no matrix. The closed form is exact only for residuals inside
+    +/- c/(2B); outside that regime a value is still returned, and the
+    failure shows up statistically rather than as an error.
     """
     comp = np.asarray(compensated_rad, dtype=float)
     if comp.size != plan.n:

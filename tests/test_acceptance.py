@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from unwrapkit import (
+    FrequencyPlan,
     NoiseSpec,
     PhaseObservation,
     TrialConfig,
@@ -48,9 +49,10 @@ from unwrapkit import (
     true_phases,
     wrap_phase,
 )
-from unwrapkit.estimators import build_w
+from unwrapkit.estimators import plan_constants
 
 from grid_oracle import cost_grid_oracle
+from w_oracle import build_w, product_w, residual_constants
 
 C = 3e8
 TWO_PI = 2.0 * math.pi
@@ -306,13 +308,24 @@ def test_criterion_7_threshold_monotonicity():
 
 
 def test_criterion_8_oracle_suites():
-    # weight matrix against the literal triangular product
+    # the residual weight matrix's closed-form entries against the literal
+    # triangular product, and the package's two O(N) residual constants
+    # against W @ df and df' W df through that product, to 1e-12 relative
     w_ok = True
+    const_worst = 0.0
     for n in (2, 3, 8, 16, 51):
-        gamma = np.tril(np.ones((n - 1, n - 1)))
-        r_inv = np.eye(n - 1) - np.ones((n - 1, n - 1)) / n
-        if not np.allclose(build_w(n), gamma.T @ r_inv @ gamma, rtol=0.0, atol=1e-12):
+        w = product_w(n)
+        if not np.allclose(build_w(n), w, rtol=0.0, atol=1e-12):
             w_ok = False
+        if n == 2:
+            plan = FrequencyPlan(freqs_hz=(2500e6, 2400e6), c_m_s=C)
+        else:
+            plan = design_concerto_plan(2500e6, 2400e6, n, 144.0, C)
+        k = plan_constants(plan)
+        w_df, denom = residual_constants(plan, w)
+        const_worst = max(const_worst, float(np.max(np.abs(k.w_delta_f / w_df - 1.0))),
+                          abs(k.residual_denom / denom - 1.0))
+    w_ok = w_ok and const_worst <= 1e-12
 
     # residual closed form against the alignment-cost grid maximizer, on
     # compensated phases produced by the actual first stage; run at 20 dB
@@ -360,7 +373,8 @@ def test_criterion_8_oracle_suites():
     ok = w_ok and resid_rate >= 0.95 and ls_worst < 1e-6
     _report(
         8, ok,
-        f"W product oracle {'ok' if w_ok else 'MISMATCH'}; residual vs grid "
+        f"W product oracle {'ok' if w_ok else 'MISMATCH'} (residual constants "
+        f"worst {const_worst:.1e} relative, <= 1e-12); residual vs grid "
         f"oracle agreement {resid_rate:.1%} at 20 dB (>= 95%; at the 15 dB "
         f"boundary: {resid_rate_boundary:.1%}); final-fit vs grid minimizer "
         f"worst {ls_worst:.2e} m (< 1e-6)",

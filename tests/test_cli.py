@@ -106,6 +106,58 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_bytes() == out.encode()
 
 
+def test_simulate_notes_a_long_ef_scan_on_stderr(tmp_path, capsys):
+    # The 6-frequency bw plan's K is its UMR, 1,171,875 m: ef scans 9,765,627
+    # candidates per trial there, beyond cli.EF_NOTICE_CANDIDATES, and simulate
+    # says so on stderr before its first SNR point. Its output is unchanged.
+    bw_plan = tmp_path / "bw6.csv"
+    code, _, _ = _run(capsys, [
+        "design", "--pattern", "bw", "--f-high", "2.5e9", "--f-low", "2.4e9",
+        "--n", "6", "--c", "3e8", "--out", str(bw_plan),
+    ])
+    assert code == 0
+    argv = ["simulate", "--plan", str(bw_plan), "--snr-db-list", "20", "--trials", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert err == (
+        "simulate: ef scans 9,765,627 candidates per trial; trials per SNR point: 1, "
+        "SNR points: 1 (--methods concerto,bw leaves ef out)\n"
+    )
+    assert out.startswith(CSV_HEADER) and out.count("\n") == 4
+    target = tmp_path / "sim.csv"
+    code, piped, err_out = _run(capsys, argv + ["--out", str(target)])
+    assert (code, piped, err_out) == (0, "", err)
+    assert target.read_bytes() == out.encode()
+    code, out_no_ef, err = _run(capsys, argv + ["--methods", "concerto,bw"])
+    assert (code, err) == (0, "")
+    assert out_no_ef.splitlines() == [line for line in out.splitlines() if ",ef," not in line]
+
+    # the 51-frequency K = 1,440 m plan of the benchmark's method comparison:
+    # 12,003 candidates per trial, no note
+    plan = tmp_path / "plan1440.csv"
+    code, _, _ = _run(capsys, [
+        "design", "--f-high", "2.5e9", "--f-low", "2.4e9", "--n", "51", "--k", "1440",
+        "--c", "3e8", "--out", str(plan),
+    ])
+    assert code == 0
+    code, out, err = _run(capsys, [
+        "simulate", "--plan", str(plan), "--snr-db-list", "10,20", "--trials", "1",
+    ])
+    assert (code, err) == (0, "")
+    assert out.count(",ef,") == 2
+
+    # a scan ef refuses (top two frequencies 1 Hz apart: UMR 3e8 m, 2.5e9
+    # candidates) gets ef's error alone
+    huge = tmp_path / "huge.csv"
+    huge.write_text(plan_to_csv(FrequencyPlan(freqs_hz=(2.5e9, 2.5e9 - 1.0, 2.4e9), c_m_s=3e8)))
+    code, out, err = _run(capsys, [
+        "simulate", "--plan", str(huge), "--snr-db-list", "20", "--trials", "1",
+    ])
+    assert (code, out) == (2, "")
+    assert err.startswith("unwrapkit: invalid input: search of 2500000003 candidates")
+    assert "ef scans" not in err
+
+
 def test_estimate_round_trip(tmp_path, capsys):
     plan_file = tmp_path / "plan.csv"
     code, out, _ = _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])

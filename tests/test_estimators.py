@@ -1,7 +1,9 @@
 """Estimator stages against independent brute-force oracles.
 
 Oracles used here:
-  * the weight matrix rebuilt literally as Gamma' (I - uu'/N) Gamma;
+  * the residual stage's weighted least-squares form, with its weight matrix
+    built from closed-form entries and literally as Gamma' (I - uu'/N) Gamma
+    (``w_oracle``), against the package's O(N) phase-slope constants;
   * per-index folding integers recomputed from the definition at the truth;
   * the alignment-cost grid maximizer for the residual stage;
   * a fine grid plus exact parabolic refinement for the final-fit cost;
@@ -28,12 +30,12 @@ from unwrapkit import (
     PhaseObservation,
     UnknownEstimatorError,
     beat_wavelengths,
-    build_w,
     bw_estimate,
     coarse_estimate,
     compensate_phases,
     concerto_estimate,
     crb,
+    design_bw_plan,
     design_concerto_plan,
     ef_estimate,
     fold_integers,
@@ -58,6 +60,7 @@ from unwrapkit.estimators import (
 )
 
 from grid_oracle import cost_grid_oracle
+from w_oracle import build_w, product_w, residual_constants, residual_oracle
 
 C = 3e8
 TWO_PI = 2.0 * math.pi
@@ -71,13 +74,15 @@ def _noisy_obs(plan, l_true, sigma, rng):
     return PhaseObservation(phases_rad=phases, plan=plan, truth_m=l_true), theta
 
 
-# -- weight matrix ----------------------------------------------------------
+# -- residual weights -------------------------------------------------------
+# The package builds the residual constants in O(N); the weight matrix of the
+# weighted least-squares form they replace is test-side (``w_oracle``).
 
-def _w_oracle(n):
-    gamma = np.tril(np.ones((n - 1, n - 1)))
-    u = np.ones((n - 1, 1))
-    r_inv = np.eye(n - 1) - (u @ u.T) / n
-    return gamma.T @ r_inv @ gamma
+#: Relative tolerance of the package's residual constants, and of the residual
+#: range, against the weighted least-squares form through W, fixed before the
+#: constants were measured against it: they agreed to 1.1e-13 at worst over
+#: 2,000 plans drawn as in the explicit-plan test below.
+RESIDUAL_RTOL = 1e-12
 
 
 def test_build_w_small_cases():
@@ -87,7 +92,7 @@ def test_build_w_small_cases():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 51, 200])
 def test_build_w_equals_matrix_product_oracle(n):
-    np.testing.assert_allclose(build_w(n), _w_oracle(n), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(build_w(n), product_w(n), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 51])
@@ -97,9 +102,69 @@ def test_w_symmetric_positive_definite(n):
     assert np.linalg.eigvalsh(w).min() >= -1e-10
 
 
-def test_build_w_rejects_tiny_n():
-    with pytest.raises(InvalidArgumentError):
-        build_w(1)
+def test_residual_weights_reject_one_frequency():
+    k = PlanConstants(FrequencyPlan(freqs_hz=(C / 0.7,), c_m_s=C))
+    for name in ("centred_freqs", "w_delta_f", "residual_denom"):
+        with pytest.raises(InvalidArgumentError, match="at least two frequencies"):
+            getattr(k, name)
+
+
+def _assert_residual_constants(plan):
+    k = PlanConstants(plan)
+    w_df, denom = residual_constants(plan)
+    assert k.w_delta_f.flags.c_contiguous and k.w_delta_f.base is None
+    np.testing.assert_allclose(k.w_delta_f, w_df, rtol=RESIDUAL_RTOL, atol=0.0)
+    assert k.residual_denom == pytest.approx(denom, rel=RESIDUAL_RTOL, abs=0.0)
+
+
+def test_residual_constants_match_the_product_oracle():
+    for n in range(3, 65):
+        for k_m in (150.0, 14_400.0):
+            _assert_residual_constants(design_concerto_plan(2500e6, 2400e6, n, k_m, C))
+    for n in range(3, 7):
+        _assert_residual_constants(design_bw_plan(2500e6, 100e6, n, C))
+
+
+@st.composite
+def _decreasing_plans(draw):
+    """Strictly decreasing explicit plans of 2 to 80 frequencies, with random,
+    near-equal or ``bw``-pattern (geometric offsets from f_0) spacings, on
+    bands from 1e-6 f_0 to 0.4 f_0."""
+    n = draw(st.integers(2, 80))
+    f0 = draw(st.sampled_from([1e9, 2.5e9, 77e9]))
+    band = f0 * 10.0 ** draw(st.floats(-6.0, -0.4))
+    spacing = draw(st.sampled_from(["random", "near-equal", "bw"]))
+    if spacing == "random":
+        gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+    elif spacing == "near-equal":
+        gaps = 1.0 + np.array(draw(st.lists(st.floats(-1e-6, 1e-6), min_size=n - 1,
+                                            max_size=n - 1)))
+    else:
+        # the smallest offset stays above 1e-6 of the band
+        top = 4.0 if n < 3 else min(4.0, 1e6 ** (1.0 / (n - 2)))
+        rho = draw(st.floats(1.05, top))
+        gaps = np.diff(rho ** np.arange(n, dtype=float))
+    offsets = np.cumsum(gaps)
+    offsets *= band / offsets[-1]
+    freqs = np.concatenate(([f0], f0 - offsets))
+    return FrequencyPlan(freqs_hz=tuple(freqs.tolist()), c_m_s=C)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(plan=_decreasing_plans(), seed=st.integers(0, 2**32 - 1))
+def test_residual_stage_matches_the_weighted_form_on_explicit_plans(plan, seed):
+    assert all(a > b for a, b in zip(plan.freqs_hz, plan.freqs_hz[1:]))
+    _assert_residual_constants(plan)
+    # the residual range on random phases, within the tolerance relative to
+    # the sum of its terms' magnitudes, which bounds its rounding
+    k = plan_constants(plan)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        comp = rng.uniform(-math.pi, math.pi, plan.n)
+        dphi = wrap_phase(comp[:-1] - comp[1:])
+        scale = (C / TWO_PI) * float(np.abs(dphi) @ np.abs(k.w_delta_f)) / k.residual_denom
+        want = residual_oracle(comp, plan)
+        assert abs(residual_estimate(comp, plan) - want) <= RESIDUAL_RTOL * scale
 
 
 # -- per-plan constants -----------------------------------------------------
@@ -118,22 +183,15 @@ def test_plan_constants_match_the_per_plan_formulas_bit_for_bit():
             k = PlanConstants(plan)
             lam = np.array(plan.wavelengths_m)
             two_pi_inv_lam = TWO_PI * (1.0 / lam)
-            delta_f = -np.diff(np.array(plan.freqs_hz))
-            j = np.arange(1, n, dtype=float)[:, None]
-            w = (n * np.minimum(j, j.T) - j * j.T) / n
-            assert np.array_equal(_bits(build_w(n)), _bits(w))
             beat_lam = lam[1:] * lam[0] / (lam[1:] - lam[0])
             assert np.array_equal(_bits(k.beat_lam), _bits(beat_lam))
             assert np.array_equal(_bits(k.beat_lam), _bits(beat_wavelengths(plan)))
             assert k.beat_ratios == (beat_lam[:-1] / beat_lam[1:]).tolist()
             assert k.beat_last.hex() == float(beat_lam[-1]).hex()
-            w_delta_f = w @ delta_f
-            assert np.array_equal(_bits(k.w_delta_f), _bits(w_delta_f))
-            assert k.residual_denom.hex() == float(delta_f @ w_delta_f).hex()
             step = two_pi_inv_lam[:-1] - two_pi_inv_lam[1:]
             assert np.array_equal(_bits(k.step_two_pi_inv_lam), _bits(step))
             for name, want in (("inv_lam", 1.0 / lam), ("two_pi_inv_lam", two_pi_inv_lam),
-                               ("delta_f", delta_f), ("lam0", lam[0]),
+                               ("lam0", lam[0]),
                                ("inv_sq_sum", (1.0 / lam) @ (1.0 / lam))):
                 assert np.array_equal(_bits(getattr(k, name)), _bits(want)), name
 
@@ -286,20 +344,16 @@ def test_residual_outside_regime_returns_value():
 
 
 def test_residual_system_explicit_product_route():
-    # The closed-form entries and the literal Gamma'R^-1Gamma route must give
+    # The phase-slope fit, and the weighted least-squares form through W's
+    # closed-form entries and through the literal Gamma'R^-1Gamma, must give
     # the same estimate to 1e-12 relative.
     rng = np.random.default_rng(23)
-    w_explicit = _w_oracle(PLAN51.n)
     w_entries = build_w(PLAN51.n)
-    df = -np.diff(np.array(PLAN51.freqs_hz))
     for _ in range(50):
         comp = rng.uniform(-math.pi, math.pi, PLAN51.n)
-        dphi = wrap_phase(comp[:-1] - comp[1:])
-        via_entries = (C / TWO_PI) * (df @ w_entries @ dphi) / (df @ w_entries @ df)
-        via_product = (C / TWO_PI) * (df @ w_explicit @ dphi) / (df @ w_explicit @ df)
         got = residual_estimate(comp, PLAN51)
-        assert got == pytest.approx(via_entries, rel=1e-12)
-        assert got == pytest.approx(via_product, rel=1e-12)
+        assert got == pytest.approx(residual_oracle(comp, PLAN51, w_entries), rel=1e-12)
+        assert got == pytest.approx(residual_oracle(comp, PLAN51), rel=1e-12)
 
 
 def test_residual_degenerate_plan():
