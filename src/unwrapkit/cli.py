@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -90,9 +91,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_utf8(path: str, error) -> str:
-    try:  # bytes: text mode's newline translation changes nothing splitlines sees
-        with open(path, "rb", buffering=0) as f:
-            return f.read().decode("utf-8")
+    """The file's text, without the byte-order mark some editors write first.
+
+    Read as bytes, since text mode's newline translation changes nothing
+    splitlines sees, and with plain reads to the end of the file: a file
+    object's size and position look-ups cost more than a plan file's read.
+    """
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory, say: named as open() names it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    try:  # not "utf-8-sig": its errors count positions after the mark
+        return b"".join(chunks).decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 

@@ -145,8 +145,10 @@ class _lazy:
 
     def __init__(self, fn):
         self.fn = fn
-        self.name = fn.__name__
         self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -155,14 +157,27 @@ class _lazy:
         return value
 
 
+class _lazy_group(_lazy):
+    """One of several constants that ``fn`` builds together, returning them
+    by name: the first read of any of them keeps every one."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        values = obj.__dict__
+        values.update(self.fn(obj))
+        return values[self.name]
+
+
 class PlanConstants:
     """The per-plan constants of every stage kernel.
 
     Get it with :func:`plan_constants`, which keeps one instance on each plan
-    object. The chain and residual constants are built on first use, so the
-    stages that need neither (fold integers, final fit) also work on plans
-    with fewer than two frequencies or repeated wavelengths; a stage that
-    does need them raises the degenerate-plan error it always raised.
+    object. The chain constants are built together on the first read of any
+    of them, and so are the residual stage's, so the stages that need
+    neither (fold integers, final fit) also work on plans with fewer than two
+    frequencies or repeated wavelengths; a stage that does need them raises
+    the degenerate-plan error it always raised.
     The wavelength, chain and final-fit constants come from one frequency
     array, where ``c / f_i`` rounds as in ``plan.wavelengths_m``, so each has
     the bits of its formula on the wavelength tuple. The residual weights
@@ -180,57 +195,50 @@ class PlanConstants:
         self.inv_sq_sum = float(self.inv_lam @ self.inv_lam)
         self.two_pi_inv_lam = TWO_PI * self.inv_lam
 
-    @_lazy
-    def beat_lam(self) -> np.ndarray:
-        lam = self.lam
-        if lam.size < 2:
+    def _chain_constants(self) -> dict:
+        lam, lam0 = self.lam[1:], self.lam0
+        if lam.size < 1:
             raise InvalidArgumentError("beat quantities need at least two frequencies")
-        if (lam[1:] == lam[0]).any():
+        # np.count_nonzero, not .any(): its method wrapper costs more than the test
+        if np.count_nonzero(lam == lam0):
             raise DegeneratePlanError("repeated wavelength: beat wavelength undefined")
-        return lam[1:] * lam[0] / (lam[1:] - lam[0])
+        beat_lam = lam * lam0 / (lam - lam0)
+        return {"beat_lam": beat_lam, "beat_ratios": (beat_lam[:-1] / beat_lam[1:]).tolist(),
+                "beat_last": float(beat_lam[-1])}
 
-    @_lazy
-    def beat_ratios(self) -> list:
-        """Lambda_i / Lambda_{i+1} for consecutive beat wavelengths."""
-        return (self.beat_lam[:-1] / self.beat_lam[1:]).tolist()
+    #: Synthetic (beat) wavelengths lambda_0 lambda_i / (lambda_i - lambda_0), i >= 1.
+    beat_lam = _lazy_group(_chain_constants)
+    #: Lambda_i / Lambda_{i+1} for consecutive beat wavelengths, as floats.
+    beat_ratios = _lazy_group(_chain_constants)
+    #: The finest beat wavelength, as a float.
+    beat_last = _lazy_group(_chain_constants)
 
-    @_lazy
-    def beat_last(self) -> float:
-        return float(self.beat_lam[-1])
-
-    @_lazy
-    def centred_freqs(self) -> np.ndarray:
-        """f_i - mean(f), centred from the offsets f_i - f_0, which are exact
-        when every f_i is at least f_0/2, so a narrow band keeps its digits."""
+    def _residual_constants(self) -> dict:
         freqs = self.freqs
         if freqs.size < 2:
             raise InvalidArgumentError("the residual stage needs at least two frequencies")
-        centred = freqs - freqs[0]
-        # np.mean's sum as its bare ufunc: at these sizes the Python wrappers
-        # of np.mean and np.cumsum cost more than their arithmetic
+        centred = freqs - self.plan.freqs_hz[0]
+        # np.mean's sum, np.cumsum and np.dot as their bare ufuncs and method:
+        # at these sizes the Python wrappers cost more than their arithmetic
         centred -= np.add.reduce(centred) / freqs.size
-        return centred
-
-    @_lazy
-    def w_delta_f(self) -> np.ndarray:
-        """Residual weights: cumsum(f - mean f) over the first N-1 entries,
-        taken with np.cumsum's bare ufunc."""
-        return np.add.accumulate(self.centred_freqs[:-1])
-
-    @_lazy
-    def residual_denom(self) -> float:
-        """sum_i (f_i - mean f)^2."""
-        centred = self.centred_freqs
         denom = float(centred.dot(centred))
         if denom == 0.0:
             raise DegeneratePlanError("residual stage denominator is zero")
-        return denom
+        two_pi_inv_lam = self.two_pi_inv_lam
+        return {"centred_freqs": centred, "w_delta_f": np.add.accumulate(centred[:-1]),
+                "residual_denom": denom,
+                "step_two_pi_inv_lam": two_pi_inv_lam[:-1] - two_pi_inv_lam[1:]}
 
-    @_lazy
-    def step_two_pi_inv_lam(self) -> np.ndarray:
-        """2*pi/lambda_i - 2*pi/lambda_{i+1}: how a range shift moves each
-        adjacent phase difference."""
-        return self.two_pi_inv_lam[:-1] - self.two_pi_inv_lam[1:]
+    #: f_i - mean(f), centred from the offsets f_i - f_0, which are exact when
+    #: every f_i is at least f_0/2, so a narrow band keeps its digits.
+    centred_freqs = _lazy_group(_residual_constants)
+    #: Residual weights: cumsum(f - mean f) over the first N-1 entries.
+    w_delta_f = _lazy_group(_residual_constants)
+    #: sum_i (f_i - mean f)^2.
+    residual_denom = _lazy_group(_residual_constants)
+    #: 2*pi/lambda_i - 2*pi/lambda_{i+1}: how a range shift moves each
+    #: adjacent phase difference.
+    step_two_pi_inv_lam = _lazy_group(_residual_constants)
 
     @_lazy
     def search_range_m(self) -> float:
@@ -276,11 +284,11 @@ def plan_constants(plan: FrequencyPlan) -> PlanConstants:
     The frozen plan's instance dict holds it, outside the dataclass fields,
     so plan equality, hashing and repr do not see it.
     """
-    try:
-        return plan.__dict__["_constants"]
-    except KeyError:
+    # dict.get: on a new plan a raised KeyError costs more than the lookup
+    constants = plan.__dict__.get("_constants")
+    if constants is None:
         constants = plan.__dict__["_constants"] = PlanConstants(plan)
-        return constants
+    return constants
 
 
 def beat_wavelengths(plan: FrequencyPlan) -> np.ndarray:

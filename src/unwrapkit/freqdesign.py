@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import replace
 
 from .core import C_VACUUM_M_S, UMR_RTOL, FrequencyPlan
@@ -24,6 +25,9 @@ from .errors import InfeasibleDesignError, InvalidArgumentError
 #: Relative tolerance for the common-ratio structure of designed plans; a
 #: plan's UMR is held to its range budget K with :data:`~unwrapkit.core.UMR_RTOL`.
 RATIO_RTOL = 1e-9
+
+_MIN_NORMAL = sys.float_info.min
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 def _check_speed(c_m_s: float) -> None:
@@ -125,6 +129,12 @@ def validate_plan(plan: FrequencyPlan) -> list:
     An empty list means the plan is valid. Each violation names the broken
     invariant and, where applicable, the offending index. Violations are
     data, not errors: broken plans are inspectable.
+
+    The per-frequency wavelength-consistency loop runs only where it can
+    report: when some f_i <= 0, c / max f is below the smallest normal
+    float, c / min f is infinite, 1e-12 * c is subnormal or 2 * c
+    overflows. Otherwise every |fl(fl(c / f_i) * f_i) - c| <= 2.3e-16 c,
+    well inside its bound of 1e-12 c.
     """
     violations = []
     freqs = plan.freqs_hz
@@ -133,10 +143,11 @@ def validate_plan(plan: FrequencyPlan) -> list:
     # Each check is one pass over the frequencies that builds a message only
     # for an index that fails, in plain floats: numpy's per-call cost is more
     # than a whole pass over the tens of frequencies a plan has.
-    if min(freqs) <= 0.0:
+    ordered = all(map(operator.gt, freqs, freqs[1:]))
+    lowest, highest = (freqs[-1], freqs[0]) if ordered else (min(freqs), max(freqs))
+    if lowest <= 0.0:
         violations += [f"positivity: freqs_hz[{i}] = {f!r} is not positive"
                        for i, f in enumerate(freqs) if f <= 0.0]
-    ordered = all(map(operator.gt, freqs, freqs[1:]))
     if not ordered:
         violations += [
             f"frequency-order: freqs_hz[{i + 1}] = {freqs[i + 1]!r} is not "
@@ -144,10 +155,13 @@ def validate_plan(plan: FrequencyPlan) -> list:
             for i in range(n - 1) if not freqs[i] > freqs[i + 1]
         ]
 
-    # lambda_i * f_i against c, with lambda_i = c / f_i as plan.wavelengths_m has it
+    # lambda_i * f_i against c, with lambda_i = c / f_i as plan.wavelengths_m
+    # has it, only where the loop can report (see the docstring)
     tol = 1e-12 * c
-    violations += [f"wavelength-consistency: index {i}"
-                   for i, f in enumerate(freqs) if abs(c / f * f - c) > tol]
+    if (lowest <= 0.0 or tol < _MIN_NORMAL or c > _HALF_MAX
+            or c / highest < _MIN_NORMAL or c / lowest == math.inf):
+        violations += [f"wavelength-consistency: index {i}"
+                       for i, f in enumerate(freqs) if abs(c / f * f - c) > tol]
 
     # NaN, and inf or -inf in some cases, would pass the comparisons below.
     for name in ("ratio", "range_budget_m"):
@@ -164,13 +178,12 @@ def validate_plan(plan: FrequencyPlan) -> list:
     if designed and ordered and n >= 3 and ratio is not None:
         # Offset chain (f_0 - f_{i+1})/(f_0 - f_i) must equal the stored ratio.
         f_0 = freqs[0]
-        offsets = [f_0 - f for f in freqs[1:]]
         chain_tol = RATIO_RTOL * ratio
         violations += [
             f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {q!r} "
             f"differs from r = {ratio!r} beyond {RATIO_RTOL:g} relative"
-            for i, q in enumerate(map(operator.truediv, offsets[1:], offsets), start=1)
-            if abs(q - ratio) > chain_tol
+            for i, (f, g) in enumerate(zip(freqs[1:], freqs[2:]), start=1)
+            if abs((q := (f_0 - g) / (f_0 - f)) - ratio) > chain_tol
         ]
         if plan.pattern_kind == "bw":
             rho = f_0 / plan.bandwidth_hz
@@ -220,39 +233,55 @@ def _csv_float(value: str, what: str) -> float:
         raise InvalidArgumentError(f"plan file: {what} {value!r} is not a number") from None
 
 
+def _row_error(rows: list, first_lineno: int) -> InvalidArgumentError:
+    """The error for the first of ``rows`` (file lines from ``first_lineno``
+    on) whose f_hz cell is missing or not a number."""
+    for lineno, line in enumerate(map(str.strip, rows), start=first_lineno):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(",", 2)
+        if len(parts) < 2:
+            return InvalidArgumentError(f"plan file: malformed row {line!r}")
+        try:
+            float(parts[1])
+        except ValueError:
+            return InvalidArgumentError(
+                f"plan file: line {lineno}: f_hz {parts[1]!r} is not a number"
+            )
+    raise AssertionError("every row has a number in its f_hz cell")
+
+
 def plan_from_csv(text: str) -> FrequencyPlan:
     """Parse a plan written by :func:`plan_to_csv`.
 
+    Before the ``index,`` header stand only blank lines and ``#`` lines, whose
+    ``key=value`` pairs are the plan's metadata. Each later line is a row,
+    whose second cell is a frequency, or else blank or a ``#`` comment.
     A malformed file raises :class:`InvalidArgumentError` naming the line or
     header key at fault, and so does a file whose rows are not the ``n`` its
     header gives.
     """
+    lines = text.splitlines()
     meta = {}
-    freqs = []
-    saw_header = False
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+    for header, line in enumerate(map(str.strip, lines), start=1):
         if not line:
             continue
-        if line[0] == "#":
-            for item in line.lstrip("#").strip().split(","):
-                if "=" in item:
-                    key, value = item.split("=", 1)
-                    meta[key.strip()] = value.strip()
-            continue
-        if saw_header:
-            parts = line.split(",", 2)
-            if len(parts) < 2:
-                raise InvalidArgumentError(f"plan file: malformed row {line!r}")
-            try:
-                freqs.append(float(parts[1]))
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"plan file: line {lineno}: f_hz {parts[1]!r} is not a number"
-                ) from None
-            continue
-        if not line.lower().startswith("index,"):
-            raise InvalidArgumentError(f"plan file: unexpected line {line!r}")
-        saw_header = True
+        if line[0] != "#":
+            if not line.lower().startswith("index,"):
+                raise InvalidArgumentError(f"plan file: unexpected line {line!r}")
+            break
+        for item in line.lstrip("#").strip().split(","):
+            if "=" in item:
+                key, value = item.split("=", 1)
+                meta[key.strip()] = value.strip()
+    else:
+        header = len(lines)
+    rows = lines[header:]
+    try:
+        freqs = tuple(map(float, [line.split(",", 2)[1] for line in map(str.strip, rows)
+                                  if line and line[0] != "#"]))
+    except (IndexError, ValueError):
+        raise _row_error(rows, header + 1) from None
     if not freqs:
         raise InvalidArgumentError("plan file contains no frequency rows")
     if "n" in meta and _csv_float(meta["n"], "n") != len(freqs):
@@ -263,7 +292,7 @@ def plan_from_csv(text: str) -> FrequencyPlan:
         return None if value == "none" else _csv_float(value, key)
 
     return FrequencyPlan(
-        freqs_hz=tuple(freqs),
+        freqs_hz=freqs,
         c_m_s=_csv_float(meta.get("c_m_s", repr(C_VACUUM_M_S)), "c_m_s"),
         pattern_kind=meta.get("pattern", "explicit"),
         range_budget_m=_opt_float("range_budget_m"),

@@ -201,6 +201,43 @@ def test_plan_file_with_rows_missing_is_refused(tmp_path, capsys, command):
     assert "n=8 in the header but 6 rows" in err
 
 
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    # a UTF-8 byte-order mark, as some editors write it, on a plan file (with
+    # CRLF line ends too) and on a config file
+    plain_plan, marked_plan = tmp_path / "plan.csv", tmp_path / "plan-bom.csv"
+    _run(capsys, ["design"] + DESIGN_TAIL + ["--out", str(plain_plan)])
+    text = plain_plan.read_bytes()
+    marked_plan.write_bytes(b"\xef\xbb\xbf" + text.replace(b"\n", b"\r\n"))
+    phases = "--phases=-0.2,0.1,0.3,0.1,-0.2,0.3,0.1,-0.2"
+    for method in ("concerto", "bw", "ef"):
+        plain = _run(capsys, ["estimate", "--plan", str(plain_plan), phases, "--method", method])
+        assert plain[0] == 0 and "l_final_m," in plain[1]
+        assert _run(capsys, ["estimate", "--plan", str(marked_plan), phases,
+                             "--method", method]) == plain
+    config = "seed = 3\ntrials = 10\nsnr_db_list = 12\nmethods = concerto\n"
+    plain_cfg, marked_cfg = tmp_path / "run.cfg", tmp_path / "run-bom.cfg"
+    plain_cfg.write_text(config)
+    marked_cfg.write_bytes(b"\xef\xbb\xbf" + config.encode())
+    argv = ["simulate"] + DESIGN_TAIL
+    plain = _run(capsys, argv + ["--config", str(plain_cfg)])
+    assert plain[0] == 0
+    assert _run(capsys, argv + ["--config", str(marked_cfg)]) == plain
+    # bytes that are not UTF-8 are named at their offset in the file
+    marked_cfg.write_bytes(b"\xef\xbb\xbfseed = 3\xff\n")
+    code, out, err = _run(capsys, argv + ["--config", str(marked_cfg)])
+    assert (code, out) == (1, "")
+    assert "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11" in err
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "."])
+def test_unreadable_plan_or_config_exits_1_naming_the_path(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    want = {"missing.csv": f"[Errno 2] No such file or directory: {path!r}",
+            ".": f"[Errno 21] Is a directory: {path!r}"}[name]
+    for argv in (["estimate", "--plan", path, "--phases", "0.1"], ["simulate", "--config", path]):
+        assert _run(capsys, argv) == (1, "", f"unwrapkit: error: {want}\n")
+
+
 def test_crb_subcommand(tmp_path, capsys):
     plan_file = tmp_path / "plan.csv"
     _run(capsys, DESIGN_ARGS + ["--out", str(plan_file)])

@@ -1,6 +1,7 @@
 """Frequency-pattern design, validation, and the plan file format."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -291,6 +292,63 @@ def test_plan_csv_round_trip():
             plan_from_csv(f"# {key}=xyz\nindex,f_hz,lambda_m\n0,2.5e9,0.12\n")
 
 
+def test_plan_csv_reads_crlf_blank_lines_padded_cells_and_two_columns():
+    plan = design_concerto_plan(2500e6, 2400e6, 8, 144.0, C)
+    lines = plan_to_csv(plan).splitlines()
+    assert plan_from_csv("\r\n".join(lines) + "\r\n") == plan
+    # blank and whitespace-only lines among the rows, cells padded with
+    # spaces and tabs, and rows of only index and f_hz
+    padded = [lines[0], "", lines[1], "   "]
+    padded += ["  " + row.replace(",", " ,\t") + " " for row in lines[2:6]]
+    padded += ["\t", *(",".join(row.split(",")[:2]) for row in lines[6:]), "  ", ""]
+    assert plan_from_csv("\n".join(padded)) == plan
+    assert plan_from_csv("\r\n".join(padded)) == plan
+
+
+def _refusal(text):
+    with pytest.raises(InvalidArgumentError) as info:
+        plan_from_csv(text)
+    return str(info.value)
+
+
+def test_plan_csv_errors_name_the_line_at_fault():
+    # line numbers count every line of the file: comments, blank lines and
+    # the header too, whatever the line ending
+    head = "# pattern=explicit\r\n\r\nindex,f_hz,lambda_m\r\n0,2.5e9,0.12\r\n\r\n  # note\r\n"
+    assert _refusal(head + "1, 2e9x ,0.13\r\n") == (
+        "plan file: line 7: f_hz ' 2e9x ' is not a number")
+    assert _refusal(head + "1, 2e9x \r\n") == "plan file: line 7: f_hz ' 2e9x' is not a number"
+    assert _refusal(head + "1,\r\n") == "plan file: line 7: f_hz '' is not a number"
+    assert _refusal("index,f_hz,lambda_m\n0,abc,0.12\n") == (
+        "plan file: line 2: f_hz 'abc' is not a number")
+    # a row without a second cell is named by its stripped text
+    assert _refusal(head + "  1  \r\n") == "plan file: malformed row '1'"
+    # the first bad row is the one named
+    assert _refusal(head + "1\n2,abc\n") == "plan file: malformed row '1'"
+    assert _refusal(head + "1,abc\n2\n") == "plan file: line 7: f_hz 'abc' is not a number"
+    # before the header only comments and blank lines may stand
+    assert _refusal("# n=1\n x \nindex,f_hz\n0,2.5e9\n") == "plan file: unexpected line 'x'"
+    assert _refusal("0,2.5e9\n") == "plan file: unexpected line '0,2.5e9'"
+    for text in ("", "\n \n", "# n=0\n", "index,f_hz,lambda_m\n", "index,f_hz\n# 0,2.5e9\n\n"):
+        assert _refusal(text) == "plan file contains no frequency rows"
+    assert _refusal("# c_m_s=xyz\nindex,f_hz\n0,2.5e9\n") == "plan file: c_m_s 'xyz' is not a number"
+    assert _refusal("# n=2\nindex,f_hz\n0,2.5e9\n") == "plan file: n=2 in the header but 1 rows"
+
+
+def test_plan_csv_reads_metadata_from_the_header_comment_only():
+    # '#' lines among or after the rows are comments: a key=value pair there
+    # changes neither the propagation speed nor the range budget
+    plan = design_concerto_plan(2500e6, 2400e6, 8, 144.0, C)
+    lines = plan_to_csv(plan).splitlines(keepends=True)
+    stray_speed = "".join(lines[:5] + ["# c_m_s=3.1e8\n"] + lines[5:])
+    trailing_budget = "".join(lines + ["# range_budget_m=100.0\n"])
+    for text in (stray_speed, trailing_budget):
+        assert _field_bits(plan_from_csv(text)) == _field_bits(plan)
+    # before the header, blank lines and several comment lines may stand
+    split_header = lines[0].replace(",n=8,", "\n\n#n=8,", 1)
+    assert plan_from_csv(split_header + "".join(lines[1:])) == plan
+
+
 def test_plan_csv_refuses_rows_that_disagree_with_n():
     text = plan_to_csv(design_concerto_plan(2500e6, 2400e6, 8, 144.0, C))
     lines = text.splitlines(keepends=True)
@@ -421,6 +479,21 @@ def _broken_plans(draw):
                             range_budget_m=1.0, ratio=2.0))
 @example(plan=FrequencyPlan(freqs_hz=(1.7e308, -1e308, -1.5e308), pattern_kind="bw",
                             ratio=math.inf))
+# the edges of the plans whose wavelength-consistency loop is skipped: c / f_0
+# at the smallest normal float and one ulp below it, subnormal c / f_0 that
+# the loop reports, c / f_1 = inf for a normal f_1, a c whose 1e-12 c is
+# subnormal (with c / f_0 subnormal or not) or rounds to 0, and a c so near
+# the largest float that c / f_i * f_i overflows though c / f_i is normal
+@example(plan=FrequencyPlan(freqs_hz=(2.0**1022, 1e9), c_m_s=1.0))
+@example(plan=FrequencyPlan(freqs_hz=(math.nextafter(2.0**1022, math.inf), 1e9), c_m_s=1.0))
+@example(plan=FrequencyPlan(freqs_hz=(7e21, 1e9), c_m_s=1e-290))
+@example(plan=FrequencyPlan(freqs_hz=(2.0, 0.5), c_m_s=1.7e308))
+@example(plan=FrequencyPlan(freqs_hz=(7e11, 3e11, 1e11), c_m_s=1e-300))
+@example(plan=FrequencyPlan(freqs_hz=(2.5e-3, 2.4e-3), c_m_s=1e-300))
+@example(plan=FrequencyPlan(freqs_hz=(3e-13, 1e-13), c_m_s=1e-320))
+@example(plan=FrequencyPlan(freqs_hz=(1.123370110330993, 1.103309929789368, 1.0772316950852558),
+                            c_m_s=sys.float_info.max))
+@example(plan=FrequencyPlan(freqs_hz=(1.123370110330993, 1.0), c_m_s=sys.float_info.max / 2.0))
 def test_validate_plan_matches_the_loop_oracle(plan):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
