@@ -222,6 +222,13 @@ def _cmd_design(args):
     return plan_to_csv(_plan_for(args))
 
 
+#: What ``estimate`` prints: nine ``key,value`` lines.
+_ESTIMATE_OUTPUT = (
+    "key,value\nmethod,%s\nl_final_m,%r\nl_coarse_m,%r\nl_residual_m,%r\nl_mid_m,%r\n"
+    "m_chain,%s\nfold_ints,%s\ndelta_m,%s\n"
+)
+
+
 def _cmd_estimate(args):
     plan = _load_plan(args.plan)
     try:
@@ -230,18 +237,13 @@ def _cmd_estimate(args):
         raise ConfigError(f"cannot parse phase list: {exc}") from exc
     obs = PhaseObservation(phases_rad=phases, plan=plan, truth_m=args.truth_m)
     trace = lookup_estimator(args.method)(obs)
-    lines = [
-        "key,value",
-        f"method,{trace.method}",
-        f"l_final_m,{trace.l_final_m!r}",
-        f"l_coarse_m,{trace.l_coarse_m!r}",
-        f"l_residual_m,{trace.l_residual_m!r}",
-        f"l_mid_m,{trace.l_mid_m!r}",
-        "m_chain," + ";".join(map(str, trace.m_chain)),
-        "fold_ints," + ";".join(map(str, trace.fold_ints)),
-        f"delta_m,{'nan' if trace.delta_m is None else repr(trace.delta_m)}",
-    ]
-    return "\n".join(lines) + "\n"
+    # one "%d" template per integer list: a C-level pass, not str() per element
+    m_chain, fold_ints, delta = trace.m_chain, trace.fold_ints, trace.delta_m
+    return _ESTIMATE_OUTPUT % (
+        trace.method, trace.l_final_m, trace.l_coarse_m, trace.l_residual_m, trace.l_mid_m,
+        ("%d;" * len(m_chain))[:-1] % m_chain, ("%d;" * len(fold_ints))[:-1] % fold_ints,
+        "nan" if delta is None else repr(delta),
+    )
 
 
 def _cmd_crb(args):

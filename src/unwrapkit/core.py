@@ -44,7 +44,8 @@ def wrap_phase(x):
             r += TWO_PI
         return r
     arr = np.array(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    # the bare ufunc reduction: np.all's wrapper costs more than the test
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise InvalidArgumentError("phase must be finite")
     wrap_inplace(arr)
     if arr.ndim == 0:
@@ -145,8 +146,10 @@ class PhaseObservation:
             raise InvalidArgumentError(
                 f"expected {self.plan.n} phases, got shape {arr.shape}"
             )
-        if not (arr.min() > -math.pi and arr.max() <= math.pi):  # NaN fails this too
-            if not np.all(np.isfinite(arr)):
+        # bare ufunc reductions, as the min and max methods' wrappers cost
+        # more than the test; NaN fails it too, as min and max pass NaN on
+        if not (np.minimum.reduce(arr) > -math.pi and np.maximum.reduce(arr) <= math.pi):
+            if not np.logical_and.reduce(np.isfinite(arr)):
                 raise InvalidArgumentError("phases must be finite")
             raise InvalidArgumentError("phases must lie in (-pi, pi]")
         if self.truth_m is not None and not math.isfinite(self.truth_m):

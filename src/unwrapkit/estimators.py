@@ -199,10 +199,14 @@ class PlanConstants:
         lam, lam0 = self.lam[1:], self.lam0
         if lam.size < 1:
             raise InvalidArgumentError("beat quantities need at least two frequencies")
-        # np.count_nonzero, not .any(): its method wrapper costs more than the test
-        if np.count_nonzero(lam == lam0):
+        # lambda_i - lambda_0 is 0 exactly where lambda_i repeats a finite
+        # lambda_0; an infinite one is compared first, as inf - inf is NaN and
+        # warns. np.count_nonzero, not .all(): its method wrapper costs more.
+        if (math.isinf(lam0) and np.count_nonzero(lam == lam0)
+                or np.count_nonzero(gap := lam - lam0) != gap.size):
             raise DegeneratePlanError("repeated wavelength: beat wavelength undefined")
-        beat_lam = lam * lam0 / (lam - lam0)
+        beat_lam = lam * lam0
+        beat_lam /= gap
         return {"beat_lam": beat_lam, "beat_ratios": (beat_lam[:-1] / beat_lam[1:]).tolist(),
                 "beat_last": float(beat_lam[-1])}
 

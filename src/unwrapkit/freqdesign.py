@@ -179,12 +179,16 @@ def validate_plan(plan: FrequencyPlan) -> list:
         # Offset chain (f_0 - f_{i+1})/(f_0 - f_i) must equal the stored ratio.
         f_0 = freqs[0]
         chain_tol = RATIO_RTOL * ratio
-        violations += [
-            f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {q!r} "
-            f"differs from r = {ratio!r} beyond {RATIO_RTOL:g} relative"
-            for i, (f, g) in enumerate(zip(freqs[1:], freqs[2:]), start=1)
-            if abs((q := (f_0 - g) / (f_0 - f)) - ratio) > chain_tol
-        ]
+        # one pass that builds nothing, and messages only if it fails: a NaN
+        # q fails the pass but is not reported, as it passes the second test
+        if not all(abs((f_0 - g) / (f_0 - f) - ratio) <= chain_tol
+                   for f, g in zip(freqs[1:], freqs[2:])):
+            violations += [
+                f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {q!r} "
+                f"differs from r = {ratio!r} beyond {RATIO_RTOL:g} relative"
+                for i, (f, g) in enumerate(zip(freqs[1:], freqs[2:]), start=1)
+                if abs((q := (f_0 - g) / (f_0 - f)) - ratio) > chain_tol
+            ]
         if plan.pattern_kind == "bw":
             rho = f_0 / plan.bandwidth_hz
             if abs(ratio - rho) > RATIO_RTOL * rho:

@@ -51,6 +51,7 @@ from .core import (
     FrequencyPlan,
     NoiseSpec,
     PhaseObservation,
+    wrap_inplace,
     wrap_phase,
 )
 from .errors import (
@@ -153,19 +154,22 @@ def _trial_streams(seeds: np.ndarray):
         yield rng
 
 
-def _synthesize_block(plan: FrequencyPlan, truths: np.ndarray, sigma: float, draws) -> np.ndarray:
+def _synthesize_block(plan: FrequencyPlan, truths, sigma: float, draws) -> np.ndarray:
     """Wrapped phases wrap(2*pi*L/lambda_i + sigma*z_i) of a row block.
 
-    ``truths`` holds one range per row; ``draws`` holds the (B, N) standard
-    normals z, scaled in place, or is None when sigma is 0 (no noise added).
-    Raises the :func:`wrap_phase` error for a non-finite phase; wrapped
-    finite phases always lie in (-pi, pi].
+    ``truths`` holds one range per row, or is one range for one row of shape
+    (N,); ``draws`` holds the standard normals z in that shape, scaled in
+    place, or is None when sigma is 0 (no noise added). Raises the
+    :func:`wrap_phase` error for a non-finite phase, and otherwise wraps in
+    place; wrapped finite phases always lie in (-pi, pi].
     """
     ideal = np.divide.outer(TWO_PI * truths, plan_constants(plan).lam)
     if draws is not None:
         draws *= sigma
         ideal += draws
-    return wrap_phase(ideal)
+    if not np.logical_and.reduce(np.isfinite(ideal), axis=None):
+        wrap_phase(ideal)  # raises the package's error for a non-finite phase
+    return wrap_inplace(ideal)
 
 
 def synthesize_observation(
@@ -176,14 +180,14 @@ def synthesize_observation(
 ) -> PhaseObservation:
     """One noisy observation: wrap(2*pi*L/lambda_i + theta_i), theta iid Gaussian.
 
-    A one-row block of the Monte-Carlo synthesis; draws N standard normals
-    from ``rng`` when sigma > 0.
+    One row of the Monte-Carlo synthesis; draws N standard normals from
+    ``rng`` when sigma > 0, the stream of a (1, N) block.
     """
     l_m = float(l_m)
     sigma = noise.sigma_rad
-    draws = rng.standard_normal((1, plan.n)) if sigma > 0.0 else None
-    phases = _synthesize_block(plan, np.array([l_m]), sigma, draws)
-    return PhaseObservation(phases_rad=phases[0], plan=plan, truth_m=l_m)
+    draws = rng.standard_normal(plan.n) if sigma > 0.0 else None
+    phases = _synthesize_block(plan, l_m, sigma, draws)
+    return PhaseObservation(phases_rad=phases, plan=plan, truth_m=l_m)
 
 
 def true_phases(l_m: float, plan: FrequencyPlan) -> PhaseObservation:

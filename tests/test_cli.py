@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 from unwrapkit import (
     FrequencyPlan,
     NoiseSpec,
+    PhaseObservation,
     TrialConfig,
     cli,
+    design_bw_plan,
     design_concerto_plan,
+    lookup_estimator,
     plan_from_csv,
     plan_to_csv,
     sweep_snr,
@@ -35,7 +38,8 @@ from unwrapkit.cli import (
     load_config,
     main,
 )
-from unwrapkit.errors import ConfigError
+from unwrapkit.errors import ConfigError, DegeneratePlanError
+from unwrapkit.estimators import plan_constants
 from unwrapkit.simkit import CSV_HEADER
 
 DESIGN_ARGS = [
@@ -185,6 +189,83 @@ def test_estimate_phase_list_starting_negative(tmp_path, capsys):
     split = _run(capsys, ["estimate", "--plan", str(plan_file), "--phases", phases])
     assert joined[0] == 0
     assert split == joined
+
+
+def _estimate_text(trace) -> str:
+    """What ``estimate`` prints for ``trace``, formatted field by field with
+    f-strings and ``map(str, ...)``: the reference the CLI output must match."""
+    lines = [
+        "key,value",
+        f"method,{trace.method}",
+        f"l_final_m,{trace.l_final_m!r}",
+        f"l_coarse_m,{trace.l_coarse_m!r}",
+        f"l_residual_m,{trace.l_residual_m!r}",
+        f"l_mid_m,{trace.l_mid_m!r}",
+        "m_chain," + ";".join(map(str, trace.m_chain)),
+        "fold_ints," + ";".join(map(str, trace.fold_ints)),
+        f"delta_m,{'nan' if trace.delta_m is None else repr(trace.delta_m)}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+#: Most candidates (K / lambda_0) at which the output oracle also runs ``ef``.
+ORACLE_EF_CANDIDATES = 20_000
+
+
+@st.composite
+def _oracle_plans(draw):
+    """A concerto plan (N = 3..51 at several K), a bw plan or an explicit plan."""
+    kind = draw(st.sampled_from(["concerto", "bw", "explicit"]))
+    if kind == "concerto":
+        n = draw(st.integers(3, 51))
+        k_m = draw(st.sampled_from([5.0, 144.0, 600.0, 1440.0, 14_400.0]))
+        return design_concerto_plan(2.5e9, 2.4e9, n, k_m, 3e8)
+    if kind == "bw":
+        bandwidth = draw(st.sampled_from([1e8, 5e8]))
+        return design_bw_plan(2.5e9, bandwidth, draw(st.integers(3, 5)), 3e8)
+    freqs = draw(st.lists(st.floats(1e9, 3e9), min_size=2, max_size=12, unique=True))
+    return FrequencyPlan(freqs_hz=tuple(sorted(freqs, reverse=True)), c_m_s=3e8)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(plan=_oracle_plans(), data=st.data())
+def test_estimate_output_matches_the_field_formatter(tmp_path, capsys, plan, data):
+    # The estimate output, byte for byte, against each trace field formatted
+    # on its own; the phases are random or near a truth's, where the chain
+    # and fold integers are often -0.0 before they are printed.
+    plan_file = tmp_path / "plan.csv"
+    plan_file.write_text(plan_to_csv(plan))
+    if data.draw(st.booleans(), "random phases"):
+        phases = data.draw(st.lists(st.floats(-math.pi, math.pi, exclude_min=True),
+                                    min_size=plan.n, max_size=plan.n), "phases")
+    else:
+        truth = data.draw(st.floats(-2.0, 2.0), "truth")
+        phases = true_phases(truth, plan).phases_rad.tolist()
+    truth_m = data.draw(st.none() | st.floats(-1e3, 1e3), "truth_m")
+    methods = ["concerto", "bw"]
+    if plan_constants(plan).search_range_m / plan_constants(plan).lam0 <= ORACLE_EF_CANDIDATES:
+        methods.append("ef")
+    obs = PhaseObservation(phases_rad=phases, plan=plan_from_csv(plan_file.read_text()),
+                           truth_m=truth_m)
+    argv = ["estimate", "--plan", str(plan_file), "--phases=" + ",".join(map(repr, phases))]
+    if truth_m is not None:
+        argv.append(f"--truth-m={truth_m!r}")
+    for method in methods:
+        code, out, err = _run(capsys, argv + ["--method", method])
+        try:
+            trace = lookup_estimator(method)(obs)
+        except DegeneratePlanError as exc:  # wavelengths a near-repeated f makes equal
+            assert (code, out, err) == (3, "", f"unwrapkit: numeric failure: {exc}\n")
+            continue
+        assert (code, err) == (0, "")
+        assert out == _estimate_text(trace)
+        assert len(out.splitlines()) == 9
 
 
 @pytest.mark.parametrize("command", ["estimate", "crb"])
@@ -490,6 +571,22 @@ def test_readme_lists_every_flag_and_config_key():
     keys = {row[0].strip("`"): row[1].strip("`") for row in rows if len(row) == 3}
     assert keys == {_flag(dest): key for dest, (key, *_) in SETTINGS.items()}
     assert tuple(keys.values()) == CONFIG_KEYS
+
+
+def test_readme_lists_the_keys_estimate_prints(tmp_path, capsys):
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    sentence = re.search(r"`estimate` prints nine `key,value` lines, in this order: (.*?)\. ",
+                         readme)
+    listed = re.findall(r"`([\w,]+)`", sentence.group(1))
+    plan_file = tmp_path / "plan.csv"
+    main(["design", *DESIGN_TAIL, "--out", str(plan_file)])
+    for method in ("concerto", "bw", "ef"):
+        for truth in ([], ["--truth-m", "0.5"]):
+            _, out, _ = _run(capsys, ["estimate", "--plan", str(plan_file),
+                                      "--phases", BASE_ARGS["estimate"][3],
+                                      "--method", method, *truth])
+            header, *rows = out.splitlines()
+            assert listed == [header] + [row.split(",")[0] for row in rows]
 
 
 def test_config_unknown_key(tmp_path, capsys):

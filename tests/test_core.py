@@ -228,6 +228,9 @@ def test_beat_wavelengths_degenerate_plan():
     plan = FrequencyPlan(freqs_hz=(1e9, 1e9, 0.5e9))
     with pytest.raises(DegeneratePlanError):
         beat_wavelengths(plan)
+    # c / f overflows for subnormal f: lambda_1 repeats an infinite lambda_0
+    with np.errstate(over="ignore"), pytest.raises(DegeneratePlanError):
+        beat_wavelengths(FrequencyPlan(freqs_hz=(1e-320, 5e-321, 1e9)))
 
 
 def test_beat_wavelengths_returns_a_fresh_array():
@@ -275,3 +278,38 @@ def test_noise_spec_examples():
     for snr_db in (4000.0, -4000.0):
         with pytest.raises(InvalidArgumentError, match="out of range"):
             NoiseSpec.from_snr_db(snr_db)
+
+
+#: Values at which the range and finiteness checks decide: NaN, the
+#: infinities, the (-pi, pi] edges and their neighbours, signed zeros and
+#: subnormals.
+_CHECK_VALUES = st.sampled_from([
+    math.nan, -math.nan, math.inf, -math.inf, PI, -PI,
+    math.nextafter(PI, math.inf), math.nextafter(-PI, math.inf),
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.5, -3.0, 7.0,
+]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_CHECK_VALUES, min_size=1, max_size=12))
+def test_phase_checks_match_the_method_predicates(values):
+    # PhaseObservation raises exactly when, and with the message that, the
+    # ndarray min/max range test and np.all(np.isfinite) decide; so does
+    # wrap_phase on its finiteness test.
+    arr = np.array(values)
+    plan = FrequencyPlan(freqs_hz=tuple(1e9 + 1e6 * i for i in range(arr.size, 0, -1)))
+    if arr.min() > -PI and arr.max() <= PI:
+        obs = PhaseObservation(phases_rad=values, plan=plan)
+        assert np.array_equal(_bits(obs.phases_rad), _bits(arr))
+    else:
+        message = ("phases must be finite" if not np.all(np.isfinite(arr))
+                   else r"phases must lie in \(-pi, pi\]")
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            PhaseObservation(phases_rad=values, plan=plan)
+    if np.all(np.isfinite(arr)):
+        got = wrap_phase(arr)
+        assert np.array_equal(_bits(got), _bits([wrap_phase(float(v)) for v in values]))
+        assert np.array_equal(_bits(arr), _bits(values))  # the input is not wrapped in place
+    else:
+        with pytest.raises(InvalidArgumentError, match="^phase must be finite$"):
+            wrap_phase(arr)

@@ -21,6 +21,7 @@ from unwrapkit import (
     plan_to_csv,
     validate_plan,
 )
+from unwrapkit.freqdesign import RATIO_RTOL
 
 C = 3e8
 
@@ -469,6 +470,31 @@ def _broken_plans(draw):
     )
 
 
+def _ratio_edge_plans():
+    """A 3-frequency concerto plan with its stored ratio r set one ulp either
+    side of each edge of the ratio check, so that its one offset ratio q lies
+    just inside and just outside r +/- RATIO_RTOL * r, above r and below it."""
+    plan = design_concerto_plan(2.5e9, 2.4e9, 3, 144.0, C)
+    f_0, f_1, f_2 = plan.freqs_hz
+    q = (f_0 - f_2) / (f_0 - f_1)
+
+    def inside(r):
+        return abs(q - r) <= RATIO_RTOL * r
+
+    plans = []
+    for toward, start in ((0.0, q / (1.0 + RATIO_RTOL)), (math.inf, q / (1.0 - RATIO_RTOL))):
+        r = start  # walk to the last r, moving away from q, that still passes
+        while not inside(r):
+            r = math.nextafter(r, q)
+        while inside(math.nextafter(r, toward)):
+            r = math.nextafter(r, toward)
+        plans += [replace(plan, ratio=r), replace(plan, ratio=math.nextafter(r, toward))]
+    return plans
+
+
+_RATIO_EDGE_PLANS = _ratio_edge_plans()
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(plan=_broken_plans())
 # c / f overflows for a subnormal f; huge offsets of opposite signs overflow,
@@ -494,6 +520,14 @@ def _broken_plans(draw):
 @example(plan=FrequencyPlan(freqs_hz=(1.123370110330993, 1.103309929789368, 1.0772316950852558),
                             c_m_s=sys.float_info.max))
 @example(plan=FrequencyPlan(freqs_hz=(1.123370110330993, 1.0), c_m_s=sys.float_info.max / 2.0))
+# the ratio check's edges, one ulp inside and outside on either side, and a
+# NaN offset ratio q = inf / inf, which the check does not report
+@example(plan=_RATIO_EDGE_PLANS[0])
+@example(plan=_RATIO_EDGE_PLANS[1])
+@example(plan=_RATIO_EDGE_PLANS[2])
+@example(plan=_RATIO_EDGE_PLANS[3])
+@example(plan=FrequencyPlan(freqs_hz=(1.7e308, -1e308, -1.5e308), pattern_kind="concerto",
+                            range_budget_m=1.0, ratio=2.0))
 def test_validate_plan_matches_the_loop_oracle(plan):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
