@@ -37,7 +37,7 @@ from .errors import (
     UndefinedBoundError,
     UnknownEstimatorError,
 )
-from .estimators import _EF_MAX_CANDIDATES, lookup_estimator, plan_constants
+from .estimators import ef_search_bounds, lookup_estimator, plan_constants
 from .freqdesign import (
     design_bw_plan,
     design_concerto_plan,
@@ -252,22 +252,22 @@ def _cmd_crb(args):
 
 
 #: ``simulate`` notes on stderr, before its first SNR point, when ``ef`` is
-#: among its methods and scans more than this many candidates per trial (and
-#: no more than ``ef`` accepts).
+#: among its methods and scans more than this many candidates per trial (in
+#: a search ``ef`` accepts).
 EF_NOTICE_CANDIDATES = 10**6
 
 
 def _ef_notice(cfg: TrialConfig, points: int) -> None:
-    """The stderr note of a long ``ef`` scan; its candidate count is the one
-    :func:`unwrapkit.estimators.ef_estimate` scans at the plan's range K."""
+    """The stderr note of a long ``ef`` scan, over the candidates of
+    :func:`unwrapkit.estimators.ef_search_bounds`; none for a search it refuses."""
     if "ef" not in cfg.methods:
         return
-    k = plan_constants(cfg.plan)
-    half = k.search_range_m / (2.0 * k.lam0)
-    if not math.isfinite(half):
-        return  # ef_estimate refuses such a K
-    candidates = math.floor(half + 1.0) - math.ceil(-half - 1.0) + 1
-    if EF_NOTICE_CANDIDATES < candidates <= _EF_MAX_CANDIDATES:
+    try:
+        m_lo, m_hi = ef_search_bounds(plan_constants(cfg.plan))
+    except InvalidArgumentError:
+        return  # ef_estimate refuses the search with the same error
+    candidates = m_hi - m_lo + 1
+    if candidates > EF_NOTICE_CANDIDATES:
         print(f"simulate: ef scans {candidates:,} candidates per trial; trials per SNR "
               f"point: {cfg.trials:,}, SNR points: {points} (--methods concerto,bw leaves "
               "ef out)", file=sys.stderr)

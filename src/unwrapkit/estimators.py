@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import threading
 from functools import partial
 from operator import attrgetter
@@ -138,28 +139,19 @@ class EstimateTrace:
 
 
 class _lazy:
-    """A per-instance constant computed on first read and kept in the
-    instance dict, where it then shadows this non-data descriptor. Unlike
-    ``functools.cached_property`` on Python 3.11 it takes no lock: threads
-    racing on a first read each compute the same value, and one is kept."""
+    """One of several per-instance constants that ``fn`` builds together,
+    returning them by name. The first read of any of them keeps every one
+    in the instance dict, where each then shadows this non-data descriptor;
+    a build that raises keeps none, and raises again on the next read.
+    Unlike ``functools.cached_property`` on Python 3.11 it takes no lock:
+    threads racing on a first read each build the same values, and one set
+    is kept."""
 
     def __init__(self, fn):
         self.fn = fn
-        self.__doc__ = fn.__doc__
 
     def __set_name__(self, owner, name):
         self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
-class _lazy_group(_lazy):
-    """One of several constants that ``fn`` builds together, returning them
-    by name: the first read of any of them keeps every one."""
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -174,10 +166,11 @@ class PlanConstants:
 
     Get it with :func:`plan_constants`, which keeps one instance on each plan
     object. The chain constants are built together on the first read of any
-    of them, and so are the residual stage's, so the stages that need
-    neither (fold integers, final fit) also work on plans with fewer than two
-    frequencies or repeated wavelengths; a stage that does need them raises
-    the degenerate-plan error it always raised.
+    of them, and so are the residual stage's and ``ef``'s, so the stages that
+    need neither chain nor residual constants (fold integers, final fit) also
+    work on plans with fewer than two frequencies or repeated wavelengths; a
+    stage that does need them raises the degenerate-plan error it always
+    raised.
     The wavelength, chain and final-fit constants come from one frequency
     array, where ``c / f_i`` rounds as in ``plan.wavelengths_m``, so each has
     the bits of its formula on the wavelength tuple. The residual weights
@@ -194,6 +187,9 @@ class PlanConstants:
         self.inv_lam = 1.0 / lam
         self.inv_sq_sum = float(self.inv_lam @ self.inv_lam)
         self.two_pi_inv_lam = TWO_PI * self.inv_lam
+        # the plan's range K: its range budget, else its UMR
+        budget = plan.range_budget_m
+        self.search_range_m = plan.umr_m if budget is None else budget
 
     def _chain_constants(self) -> dict:
         lam, lam0 = self.lam[1:], self.lam0
@@ -211,11 +207,11 @@ class PlanConstants:
                 "beat_last": float(beat_lam[-1])}
 
     #: Synthetic (beat) wavelengths lambda_0 lambda_i / (lambda_i - lambda_0), i >= 1.
-    beat_lam = _lazy_group(_chain_constants)
+    beat_lam = _lazy(_chain_constants)
     #: Lambda_i / Lambda_{i+1} for consecutive beat wavelengths, as floats.
-    beat_ratios = _lazy_group(_chain_constants)
+    beat_ratios = _lazy(_chain_constants)
     #: The finest beat wavelength, as a float.
-    beat_last = _lazy_group(_chain_constants)
+    beat_last = _lazy(_chain_constants)
 
     def _residual_constants(self) -> dict:
         freqs = self.freqs
@@ -235,51 +231,38 @@ class PlanConstants:
 
     #: f_i - mean(f), centred from the offsets f_i - f_0, which are exact when
     #: every f_i is at least f_0/2, so a narrow band keeps its digits.
-    centred_freqs = _lazy_group(_residual_constants)
+    centred_freqs = _lazy(_residual_constants)
     #: Residual weights: cumsum(f - mean f) over the first N-1 entries.
-    w_delta_f = _lazy_group(_residual_constants)
+    w_delta_f = _lazy(_residual_constants)
     #: sum_i (f_i - mean f)^2.
-    residual_denom = _lazy_group(_residual_constants)
+    residual_denom = _lazy(_residual_constants)
     #: 2*pi/lambda_i - 2*pi/lambda_{i+1}: how a range shift moves each
     #: adjacent phase difference.
-    step_two_pi_inv_lam = _lazy_group(_residual_constants)
+    step_two_pi_inv_lam = _lazy(_residual_constants)
 
-    @_lazy
-    def search_range_m(self) -> float:
-        """The plan's range K: its range budget, else its UMR."""
-        budget = self.plan.range_budget_m
-        return self.plan.umr_m if budget is None else budget
-
-    @_lazy
-    def ef_screen_index(self) -> np.ndarray:
-        """Indices i >= 1 of the ``ef`` screen's fraction columns, spread
-        evenly over 1..N-1 (all of them when N-1 <= C), as a (C, 1) column."""
-        cols = self.plan.n - 1
-        if cols <= _EF_SCREEN_COLUMNS:
-            index = np.arange(1, cols + 1)
+    def _ef_constants(self) -> dict:
+        n = self.plan.n
+        if n - 1 <= _EF_SCREEN_COLUMNS:
+            index = np.arange(1, n)
         else:
-            index = 1 + np.linspace(0, cols - 1, _EF_SCREEN_COLUMNS).round().astype(np.intp)
-        return index[:, None]
+            index = 1 + np.linspace(0, n - 2, _EF_SCREEN_COLUMNS).round().astype(np.intp)
+        index = index[:, None]
+        return {"ef_screen_index": index, "ef_screen_inv_lam": self.inv_lam.take(index),
+                "ef_screen_rows": max(1, _EF_CHUNK_ELEMENTS // max(index.shape[0], 1)),
+                "ef_full_rows": max(1, _EF_CHUNK_ELEMENTS // n), "ef_slack": _EF_SLACK + 1e-15 * n}
 
-    @_lazy
-    def ef_screen_inv_lam(self) -> np.ndarray:
-        """1/lambda_i at the ``ef`` screen's columns, as a (C, 1) column."""
-        return self.inv_lam.take(self.ef_screen_index)
-
-    @_lazy
-    def ef_screen_rows(self) -> int:
-        """Candidates in the longest chunk of the ``ef`` screen."""
-        return _ef_rows(self.ef_screen_index.shape[0])
-
-    @_lazy
-    def ef_full_rows(self) -> int:
-        """Candidates in the longest chunk of the ``ef`` full scores."""
-        return _ef_rows(self.plan.n)
-
-    @_lazy
-    def ef_slack(self) -> float:
-        """The factor that widens the ``ef`` screen's bound."""
-        return _EF_SLACK + 1e-15 * self.plan.n
+    #: Indices i >= 1 of the ``ef`` screen's fraction columns, spread evenly
+    #: over 1..N-1 (all of them when N-1 <= C), as a (C, 1) column.
+    ef_screen_index = _lazy(_ef_constants)
+    #: 1/lambda_i at the ``ef`` screen's columns, as a (C, 1) column.
+    ef_screen_inv_lam = _lazy(_ef_constants)
+    #: Candidates in the longest chunk of the ``ef`` screen: the most whose
+    #: C fractions each fit ``_EF_CHUNK_ELEMENTS``, and at least one.
+    ef_screen_rows = _lazy(_ef_constants)
+    #: Candidates in the longest chunk of the ``ef`` full scores, likewise of N.
+    ef_full_rows = _lazy(_ef_constants)
+    #: The factor that widens the ``ef`` screen's bound.
+    ef_slack = _lazy(_ef_constants)
 
 
 def plan_constants(plan: FrequencyPlan) -> PlanConstants:
@@ -376,8 +359,15 @@ def coarse_estimate(obs: PhaseObservation):
     return turns * k.beat_last, np.array(m_chain, dtype=np.int64)
 
 
+def _check_range(l_m) -> None:
+    """Refuse a range handed to a stage that is not one finite real number."""
+    if not (isinstance(l_m, numbers.Real) and math.isfinite(l_m)):
+        raise InvalidArgumentError(f"range must be a finite scalar, got {l_m!r}")
+
+
 def compensate_phases(obs: PhaseObservation, l_c: float) -> np.ndarray:
     """Remove the coarse range from every phase: wrap(phi_i - 2*pi*l_c/lambda_i)."""
+    _check_range(l_c)
     two_pi_inv_lam = plan_constants(obs.plan).two_pi_inv_lam
     return wrap_inplace(obs.phases_rad - l_c * two_pi_inv_lam)
 
@@ -405,7 +395,7 @@ def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
     failure shows up statistically rather than as an error.
     """
     comp = np.asarray(compensated_rad, dtype=float)
-    if comp.size != plan.n:
+    if comp.shape != (plan.n,):
         raise InvalidArgumentError("compensated phase count does not match plan")
     return float(_residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:])))
 
@@ -424,6 +414,7 @@ def _fit(k: PlanConstants, fold: np.ndarray, phase_turns: np.ndarray):
 
 def fold_integers(obs: PhaseObservation, l_m: float) -> np.ndarray:
     """Folding integers at every wavelength implied by the range guess ``l_m``."""
+    _check_range(l_m)
     fold = _fold(plan_constants(obs.plan), l_m, obs.phases_rad * _INV_TWO_PI)
     return fold.astype(np.int64)
 
@@ -434,7 +425,10 @@ def ls_refine(obs: PhaseObservation, fold_ints) -> float:
     Minimizes sum_i (2*pi*L/lambda_i - phi_i - 2*pi*m_i)^2; the minimizer is
     the quotient (sum_i m_f_i/lambda_i) / (sum_i lambda_i^-2).
     """
+    n = obs.plan.n
     fold = np.asarray(fold_ints, dtype=float)
+    if fold.shape != (n,) or not np.isfinite(fold).all() or np.count_nonzero(fold % 1.0):
+        raise InvalidArgumentError(f"fold integers must be {n} finite integral values")
     return float(_fit(plan_constants(obs.plan), fold, obs.phases_rad * _INV_TWO_PI))
 
 
@@ -546,9 +540,11 @@ _EF_WINDOW = 2
 #: Candidates per block of the ``ef`` scan: a block's ranges and partial
 #: scores, 2 MiB each, are screened before any of them gets a full score.
 _EF_BLOCK = 262_144
-#: Most candidates one ``ef`` search may scan: about 3 s at the 31 ns per
-#: candidate fitted on a 2-CPU host. A wider search, such as on a plan whose
-#: top two frequencies are an ulp apart (UMR 6e14 m), is refused before it starts.
+#: Most candidates one ``ef`` search may scan: about 5-25 s. On a 2-CPU x86-64
+#: host (N = 51, 20 dB) a candidate cost 30-50 ns at K <= 14.4 km, but 45-260 ns
+#: (medians 145-205 ns) at K = 144 km and 1.44e6 m, where most candidates pass
+#: the screen. A wider search, such as on a plan whose top two frequencies are
+#: an ulp apart (UMR 6e14 m), is refused before it starts.
 _EF_MAX_CANDIDATES = 10**8
 #: numpy's ufunc buffer size, in elements, inside the screen's context. numpy
 #: iterates a broadcast operation, such as the screen's (C, 1) column times
@@ -559,12 +555,6 @@ _EF_SCREEN_BUFSIZE = 1024
 #: Chunk shapes whose buffer views a thread keeps (see :class:`_EfViews`).
 _EF_VIEW_SHAPES = 64
 _EF_LOCAL = threading.local()
-
-
-def _ef_rows(cols: int) -> int:
-    """Candidates in the longest ``ef`` scan chunk: the most whose rows of
-    ``cols`` fractions fit ``_EF_CHUNK_ELEMENTS``."""
-    return max(1, _EF_CHUNK_ELEMENTS // max(cols, 1))
 
 
 class _EfViews(dict):
@@ -666,15 +656,38 @@ def _ef_chain(k: PlanConstants, phases: np.ndarray, l_final: float) -> np.ndarra
     return _round_half_away_arr(l_final / k.beat_lam - bp)
 
 
+def ef_search_bounds(k: PlanConstants) -> tuple:
+    """The first and last candidate m, (m_lo, m_hi), that ``ef`` scans on the
+    plan of ``k``: +/- K/2, K = ``k.search_range_m``, plus one cycle of guard.
+    Raises :class:`InvalidArgumentError`, in this order, for a K that is not
+    positive and finite, a K beyond the UMR, an empty candidate set and more
+    than ``_EF_MAX_CANDIDATES`` candidates; the limit is read on every call."""
+    k_m, umr_m = k.search_range_m, k.plan.umr_m
+    if not (k_m > 0.0 and math.isfinite(k_m)):
+        raise InvalidArgumentError("search range must be positive and finite")
+    if k_m > umr_m * (1.0 + UMR_RTOL):
+        raise InvalidArgumentError(
+            f"search range {k_m!r} m exceeds the unambiguous range {umr_m!r} m"
+        )
+    m_lo = math.ceil(-k_m / (2.0 * k.lam0) - 1.0)
+    m_hi = math.floor(k_m / (2.0 * k.lam0) + 1.0)
+    if m_hi < m_lo:
+        raise InvalidArgumentError("empty candidate set")
+    if m_hi - m_lo + 1 > _EF_MAX_CANDIDATES:
+        raise InvalidArgumentError(
+            f"search of {m_hi - m_lo + 1} candidates exceeds the limit of {_EF_MAX_CANDIDATES}"
+        )
+    return m_lo, m_hi
+
+
 def ef_estimate(obs: PhaseObservation) -> EstimateTrace:
     """Excess-fractions estimate over the plan's range K, ``search_range_m``.
 
     Every candidate location at lambda_0 inside +/- K/2 (plus one cycle of
     guard) is scored by the summed squared distance of its implied folding
     fractions to the nearest integers; the winner is refined by the final
-    least-squares fit. Cost is linear in K. A K that is not finite, positive
-    and at most the UMR, or a search of more than ``_EF_MAX_CANDIDATES``
-    candidates, raises :class:`InvalidArgumentError`.
+    least-squares fit. Cost is linear in K. The candidates, and the searches
+    refused, are those of :func:`ef_search_bounds`.
 
     The scan is exact and has one path for every K. Candidates go in blocks
     of ``_EF_BLOCK``, and each block in chunks of the per-thread buffers of
@@ -712,24 +725,9 @@ def ef_estimate(obs: PhaseObservation) -> EstimateTrace:
     full. Where most candidates survive (low SNR), a call costs that full
     scoring plus the screen.
     """
-    plan = obs.plan
-    k = plan_constants(plan)
-    k_m = k.search_range_m
-    if not (k_m > 0.0 and math.isfinite(k_m)):
-        raise InvalidArgumentError("search range must be positive and finite")
-    if k_m > plan.umr_m * (1.0 + UMR_RTOL):
-        raise InvalidArgumentError(
-            f"search range {k_m!r} m exceeds the unambiguous range {plan.umr_m!r} m"
-        )
+    k = plan_constants(obs.plan)
+    m_lo, m_hi = ef_search_bounds(k)
     lam0 = k.lam0
-    m_lo = math.ceil(-k_m / (2.0 * lam0) - 1.0)
-    m_hi = math.floor(k_m / (2.0 * lam0) + 1.0)
-    if m_hi < m_lo:
-        raise InvalidArgumentError("empty candidate set")
-    if m_hi - m_lo + 1 > _EF_MAX_CANDIDATES:
-        raise InvalidArgumentError(
-            f"search of {m_hi - m_lo + 1} candidates exceeds the limit of {_EF_MAX_CANDIDATES}"
-        )
     phases = obs.phases_rad
     phase_turns = phases * _INV_TWO_PI
     phi0_turns = float(phase_turns[0])

@@ -196,6 +196,43 @@ def test_plan_constants_match_the_per_plan_formulas_bit_for_bit():
                 assert np.array_equal(_bits(getattr(k, name)), _bits(want)), name
 
 
+#: PlanConstants' lazy constants, by the group one build makes together.
+_CHAIN_GROUP = ("beat_lam", "beat_ratios", "beat_last")
+_RESIDUAL_GROUP = ("centred_freqs", "w_delta_f", "residual_denom", "step_two_pi_inv_lam")
+_EF_GROUP = ("ef_screen_index", "ef_screen_inv_lam", "ef_screen_rows", "ef_full_rows",
+             "ef_slack")
+
+
+def test_plan_constants_build_each_lazy_group_once(monkeypatch):
+    # Every lazy constant belongs to one of three groups. The first read of
+    # any member runs the group's builder once and keeps every member, and
+    # no other group's, in the instance dict; later reads build nothing.
+    builders = {}
+    for name, attr in vars(PlanConstants).items():
+        if isinstance(attr, estimators._lazy):
+            builders.setdefault(attr.fn, []).append(name)
+    assert sorted(map(tuple, builders.values())) == sorted(
+        [_CHAIN_GROUP, _RESIDUAL_GROUP, _EF_GROUP])
+    calls = []
+    for fn, names in builders.items():
+        def counted(k, fn=fn):
+            calls.append(fn)
+            return fn(k)
+        for name in names:
+            monkeypatch.setattr(vars(PlanConstants)[name], "fn", counted)
+    for fn, names in builders.items():
+        for first in names:
+            k = PlanConstants(PLAN51)
+            before = set(vars(k))
+            calls.clear()
+            value = getattr(k, first)
+            assert set(vars(k)) - before == set(names)
+            assert vars(k)[first] is value
+            for name in names:
+                getattr(k, name)
+            assert calls == [fn]
+
+
 @pytest.mark.parametrize("freqs, error, residual_refused", [
     ((C / 0.7,), InvalidArgumentError, True),              # one frequency
     ((2.5e9, 2.5e9, 2.4e9), DegeneratePlanError, False),   # a repeated wavelength
@@ -203,6 +240,16 @@ def test_plan_constants_match_the_per_plan_formulas_bit_for_bit():
 ])
 def test_degenerate_plans_fold_and_fit_but_refuse_the_chain(freqs, error, residual_refused):
     plan = FrequencyPlan(freqs_hz=freqs, c_m_s=C)
+    # a lazy group whose build raises keeps none of its constants, so every
+    # read raises again; the ef group still builds
+    k = PlanConstants(plan)
+    refused = _CHAIN_GROUP + (_RESIDUAL_GROUP if residual_refused else ())
+    for _ in range(2):
+        for name in refused:
+            with pytest.raises(error):
+                getattr(k, name)
+    assert not set(refused) & set(vars(k))
+    assert k.ef_full_rows >= 1 and set(_EF_GROUP) <= set(vars(k))
     obs = PhaseObservation(phases_rad=np.full(len(freqs), 0.3), plan=plan)
     fold = fold_integers(obs, 1.25)
     assert np.isfinite(ls_refine(obs, fold))
@@ -443,6 +490,37 @@ def _j_grid_minimizer(obs, fold, center):
     if denom == 0.0:
         return x1
     return x1 + 0.5 * h * (y0 - y2) / denom
+
+
+def test_stage_functions_refuse_arguments_they_cannot_use():
+    # ls_refine takes N finite integral fold integers, residual_estimate N
+    # phases in one row, and compensate_phases and fold_integers one finite
+    # range: anything else raises InvalidArgumentError, where a short fold
+    # once broadcast, another shape failed inside numpy, and NaN or inf came
+    # back as INT64_MIN or NaN.
+    plan = design_concerto_plan(2500e6, 2400e6, 8, 144.0, C)
+    obs = true_phases(3.0, plan)
+    for comp in (np.zeros((2, 4)), np.zeros((8, 1))):
+        with pytest.raises(InvalidArgumentError, match="phase count does not match plan"):
+            residual_estimate(comp, plan)
+    good = fold_integers(obs, 3.0)
+    for fold in ([3], [1, 2], np.zeros((2, 8)), np.append(good[:-1], 0.5),
+                 np.append(good[:-1], math.nan), np.append(good[:-1], math.inf)):
+        with pytest.raises(InvalidArgumentError,
+                           match="fold integers must be 8 finite integral values"):
+            ls_refine(obs, fold)
+    for stage in (fold_integers, compensate_phases):
+        for l_m in (math.nan, math.inf, -math.inf, np.array([1.0, 2.0]), "3.0", None):
+            with pytest.raises(InvalidArgumentError, match="range must be a finite scalar"):
+                stage(obs, l_m)
+    # what they take is as before: int or float, Python or numpy
+    l_final = ls_refine(obs, good)
+    assert l_final == pytest.approx(3.0, abs=1e-9)
+    for fold in (tuple(good.tolist()), good.tolist(), good.astype(float)):
+        assert ls_refine(obs, fold) == l_final
+    for l_m in (3, np.int64(3), np.float64(3.0)):
+        assert np.array_equal(fold_integers(obs, l_m), good)
+        assert np.array_equal(compensate_phases(obs, l_m), compensate_phases(obs, 3.0))
 
 
 def test_ls_refine_noiseless_and_single_frequency():
@@ -814,7 +892,7 @@ def test_ef_scan_matches_one_pass_oracle():
     unbuffered = -(-estimators._EF_SCREEN_BUFSIZE // 3)
     for n in (51, 18):
         plan = design_concerto_plan(2500e6, 2400e6, n, 1440.0, C)
-        cap = estimators._ef_rows(min(width, n - 1))
+        cap = plan_constants(plan).ef_screen_rows
         lam0 = plan.wavelengths_m[0]
         for count in (unbuffered - 1, unbuffered, unbuffered + 1,
                       cap - 1, cap, cap + 1, 2 * cap + 1):
@@ -837,7 +915,7 @@ def test_ef_scan_matches_one_pass_oracle():
     # one frequency: UMR is infinite and every score is exactly 0, so the tie
     # spans every chunk boundary and the first candidate, m_lo, must win
     plan = FrequencyPlan((2.4e9,), c_m_s=C)
-    cap = estimators._ef_rows(0)
+    cap = plan_constants(plan).ef_screen_rows
     lam0 = plan.wavelengths_m[0]
     for k_m in (500.0, (cap - 3) * lam0, (cap - 1) * lam0, (2 * cap - 1) * lam0):
         obs = PhaseObservation(np.array([0.7]), plan, truth_m=3.0)
