@@ -994,15 +994,15 @@ def _ef_full_score_count(obs):
     turns = obs.phases_rad * (1.0 / TWO_PI)
     l_cand = (np.arange(m_lo, m_hi + 1, dtype=float) + turns[0]) * k.lam0
 
-    def squared_distances(columns):
-        f = k.inv_lam[columns][:, None] * l_cand - turns[columns][:, None]
+    def squared_distances(columns, l_m):
+        f = k.inv_lam[columns][:, None] * l_m - turns[columns][:, None]
         f -= np.rint(f)
         return f * f
 
-    partial = squared_distances(k.ef_screen_index[:, 0]).sum(axis=0)
+    partial = squared_distances(k.ef_screen_index[:, 0], l_cand).sum(axis=0)
     star = int(partial.argmin())
     window = slice(max(star - estimators._EF_WINDOW, 0), star + estimators._EF_WINDOW + 1)
-    bound = squared_distances(np.arange(1, obs.plan.n))[:, window].sum(axis=0).min()
+    bound = squared_distances(np.arange(1, obs.plan.n), l_cand[window]).sum(axis=0).min()
     partial[window] = math.inf
     outside = int((partial <= bound * k.ef_slack + estimators._EF_FLOOR).sum())
     return len(l_cand[window]) + outside, l_cand.size
@@ -1016,7 +1016,10 @@ def test_ef_screen_prunes_almost_every_candidate(monkeypatch):
     # rule rebuilt from the plan constants; they stay within 1% of the search
     # on average and 5% in any call. Measured here at 12 to 20 screen
     # columns: at 10 dB means of 9 to 17 and maxima of 24 to 227 of 12,003
-    # candidates; at 20 dB at most 6, of 12,003 or of 1,203.
+    # candidates; at 20 dB at most 6, of 12,003 or of 1,203. At the 13
+    # columns in use: a mean of 13.7 and a maximum of 125 at 10 dB; at
+    # 20 dB a mean of 5.0 and a maximum of 6, and 5 of 120,003 in each of
+    # the 4 calls on the K = 14,400 m plan.
     scored = []
     full_scores = estimators._ef_best
 
@@ -1026,11 +1029,12 @@ def test_ef_screen_prunes_almost_every_candidate(monkeypatch):
 
     monkeypatch.setattr(estimators, "_ef_best", counting)
     rng = np.random.default_rng(20261021)
-    for k_m, snr_db in ((1440.0, 10.0), (1440.0, 20.0), (144.0, 20.0)):
+    for k_m, snr_db, calls in ((1440.0, 10.0, 40), (1440.0, 20.0, 40), (144.0, 20.0, 40),
+                               (14_400.0, 20.0, 4)):
         plan = design_concerto_plan(2500e6, 2400e6, 51, k_m, C)
         noise = NoiseSpec.from_snr_db(snr_db)
         counts = []
-        for _ in range(40):
+        for _ in range(calls):
             obs = synthesize_observation(rng.uniform(-k_m / 2, k_m / 2), plan, noise, rng)
             scored.clear()
             ef_estimate(obs)
