@@ -42,13 +42,6 @@ from operator import attrgetter
 
 import numpy as np
 
-try:
-    # np.einsum's kernel: np.einsum without ``optimize`` passes its arguments
-    # straight to it, after a dispatch that costs about 1 us a call
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # pragma: no cover - a numpy that moved it
-    _einsum = np.einsum
-
 from .core import (
     TWO_PI,
     UMR_RTOL,
@@ -530,13 +523,13 @@ def _concerto_rows(k: PlanConstants, phases: np.ndarray):
 #: Elements (candidates x columns) in the longest chunk of the ``ef`` candidate
 #: scan: each of the scan's two float64 chunk buffers holds this many, 0.2 MB,
 #: so one chunk's buffers stay well inside a core's L2 cache. A screen chunk
-#: holds at most 1,969 candidates (C = 13), and a block of more than that is
-#: split into equal chunks of 985 or more, so the screen's cost per candidate
+#: holds at most 1,828 candidates (C = 14), and a block of more than that is
+#: split into equal chunks of 915 or more, so the screen's cost per candidate
 #: is about the same at every search range.
 _EF_CHUNK_ELEMENTS = 25_600
 #: Fraction columns of the ``ef`` screen: every candidate is first scored on
 #: this many of its N-1 folding fractions, spread evenly over them.
-_EF_SCREEN_COLUMNS = 13
+_EF_SCREEN_COLUMNS = 14
 #: The screen's bound is widened by this factor plus 1e-15 per frequency,
 #: and by this floor for squares that underflow (see :func:`ef_estimate`).
 _EF_SLACK = 1.0 + 1e-12
@@ -547,9 +540,9 @@ _EF_WINDOW = 2
 #: Candidates per block of the ``ef`` scan: a block's ranges and partial
 #: scores, 2 MiB each, are screened before any of them gets a full score.
 _EF_BLOCK = 262_144
-#: Most candidates one ``ef`` search may scan: about 5-20 s. On a 2-CPU x86-64
-#: host (N = 51, 20 dB) a candidate cost 20-50 ns at K <= 14.4 km, but 60-180 ns
-#: (median 128 ns) at K = 144 km, where every block scanned before the
+#: Most candidates one ``ef`` search may scan: about 3-16 s. On a 2-CPU x86-64
+#: host (N = 51, 20 dB) a candidate cost 25-50 ns at K <= 14.4 km, but 70-160 ns
+#: (median 112 ns) at K = 144 km, where every block scanned before the
 #: winner's scores nearly all of its candidates in full. A wider search, such
 #: as on a plan whose top two frequencies are an ulp apart (UMR 6e14 m), is
 #: refused before it starts.
@@ -629,37 +622,31 @@ def _ef_screen(views, inv_lam, targets, l_all, max_rows, out):
         f -= targets
         np.rint(f, out=s)
         f -= s
-        _einsum("ij,ij->j", f, f, out=out[lo:lo + count])
-
-
-def _ef_chunk_best(k: PlanConstants, chunk, phase_turns, views):
-    """:func:`_ef_best` of one chunk of at most ``k.ef_full_rows`` candidates,
-    laid out (rows, N) in the buffers of ``views``."""
-    dist, nearest, scored = views[chunk.size, phase_turns.size]
-    np.multiply(chunk[:, None], k.inv_lam, out=dist)
-    dist -= phase_turns
-    np.rint(dist, out=nearest)
-    dist -= nearest
-    scores = _einsum("ij,ij->i", scored, scored)
-    i = scores.argmin()
-    return float(scores[i]), float(chunk[i]), nearest[i].copy()
+        np.einsum("ij,ij->j", f, f, out=out[lo:lo + count])
 
 
 def _ef_best(k: PlanConstants, l_cand, phase_turns, views):
     """The lowest full ``ef`` score among the candidate ranges ``l_cand``, the
     first candidate that has it and the nearest integers to that candidate's
     l/lambda_i - phi_i/2pi, as (score, range, integers). Candidates go in
-    chunks of at most ``k.ef_full_rows``; a score is ``einsum`` over its own
-    row of the squared distances to those integers, i >= 1, so the chunking
-    does not change it."""
+    chunks of at most ``k.ef_full_rows``, laid out (rows, N) in the buffers of
+    ``views``; a score is ``einsum`` over its own row of the squared distances
+    to those integers, i >= 1, so the chunking does not change it."""
+    n = phase_turns.size
     rows = k.ef_full_rows
-    if l_cand.size <= rows:
-        return _ef_chunk_best(k, l_cand, phase_turns, views)
     best = (math.inf,)
     for lo in range(0, l_cand.size, rows):
-        chunk_best = _ef_chunk_best(k, l_cand[lo:lo + rows], phase_turns, views)
-        if chunk_best[0] < best[0]:
-            best = chunk_best
+        chunk = l_cand[lo:lo + rows, None]
+        dist, nearest, scored = views[chunk.shape[0], n]
+        np.multiply(chunk, k.inv_lam, out=dist)
+        dist -= phase_turns
+        np.rint(dist, out=nearest)
+        dist -= nearest
+        scores = np.einsum("ij,ij->i", scored, scored)
+        i = int(scores.argmin())
+        score = float(scores[i])
+        if score < best[0]:
+            best = (score, float(chunk[i, 0]), nearest[i].copy())
     return best
 
 

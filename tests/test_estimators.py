@@ -1016,8 +1016,8 @@ def test_ef_screen_prunes_almost_every_candidate(monkeypatch):
     # rule rebuilt from the plan constants; they stay within 1% of the search
     # on average and 5% in any call. Measured here at 12 to 20 screen
     # columns: at 10 dB means of 9 to 17 and maxima of 24 to 227 of 12,003
-    # candidates; at 20 dB at most 6, of 12,003 or of 1,203. At the 13
-    # columns in use: a mean of 13.7 and a maximum of 125 at 10 dB; at
+    # candidates; at 20 dB at most 6, of 12,003 or of 1,203. At the 14
+    # columns in use: a mean of 13.2 and a maximum of 111 at 10 dB; at
     # 20 dB a mean of 5.0 and a maximum of 6, and 5 of 120,003 in each of
     # the 4 calls on the K = 14,400 m plan.
     scored = []
