@@ -217,6 +217,8 @@ class PlanConstants:
         freqs = self.freqs
         if freqs.size < 2:
             raise InvalidArgumentError("the residual stage needs at least two frequencies")
+        # f_i - mean(f), centred from the offsets f_i - f_0, which are exact
+        # when every f_i is at least f_0/2, so a narrow band keeps its digits
         centred = freqs - self.plan.freqs_hz[0]
         # np.mean's sum, np.cumsum and np.dot as their bare ufuncs and method:
         # at these sizes the Python wrappers cost more than their arithmetic
@@ -225,13 +227,9 @@ class PlanConstants:
         if denom == 0.0:
             raise DegeneratePlanError("residual stage denominator is zero")
         two_pi_inv_lam = self.two_pi_inv_lam
-        return {"centred_freqs": centred, "w_delta_f": np.add.accumulate(centred[:-1]),
-                "residual_denom": denom,
+        return {"w_delta_f": np.add.accumulate(centred[:-1]), "residual_denom": denom,
                 "step_two_pi_inv_lam": two_pi_inv_lam[:-1] - two_pi_inv_lam[1:]}
 
-    #: f_i - mean(f), centred from the offsets f_i - f_0, which are exact when
-    #: every f_i is at least f_0/2, so a narrow band keeps its digits.
-    centred_freqs = _lazy(_residual_constants)
     #: Residual weights: cumsum(f - mean f) over the first N-1 entries.
     w_delta_f = _lazy(_residual_constants)
     #: sum_i (f_i - mean f)^2.
@@ -372,10 +370,13 @@ def compensate_phases(obs: PhaseObservation, l_c: float) -> np.ndarray:
     return wrap_inplace(obs.phases_rad - l_c * two_pi_inv_lam)
 
 
-def _residual(k: PlanConstants, dphi: np.ndarray):
-    """Residual-stage kernel on the wrapped adjacent differences ``dphi``,
-    shape (..., N-1): the phase-slope fit of :func:`residual_estimate`."""
-    return (k.plan.c_m_s / TWO_PI) * dphi.dot(k.w_delta_f) / k.residual_denom
+def _residual(k: PlanConstants, dphi: np.ndarray, l_c):
+    """Residual-stage kernel on the adjacent differences phi_i - phi_{i+1},
+    (N-1,) or (B, N-1), and the coarse range, a float or a (B, 1) column:
+    shifts and wraps ``dphi`` in place, then fits the phase slope of
+    :func:`residual_estimate`."""
+    dphi -= l_c * k.step_two_pi_inv_lam
+    return (k.plan.c_m_s / TWO_PI) * wrap_inplace(dphi).dot(k.w_delta_f) / k.residual_denom
 
 
 def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
@@ -397,7 +398,7 @@ def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
     comp = np.asarray(compensated_rad, dtype=float)
     if comp.shape != (plan.n,):
         raise InvalidArgumentError("compensated phase count does not match plan")
-    return float(_residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:])))
+    return float(_residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:]), 0.0))
 
 
 def _fold(k: PlanConstants, l_m, phase_turns: np.ndarray) -> np.ndarray:
@@ -486,9 +487,7 @@ def concerto_estimate(obs: PhaseObservation) -> EstimateTrace:
     m_chain, turns = _chain(k, phases)
     l_c = turns * k.beat_last
 
-    dphi = phases[:-1] - phases[1:]
-    dphi -= l_c * k.step_two_pi_inv_lam
-    l_r = float(_residual(k, wrap_inplace(dphi)))
+    l_r = float(_residual(k, phases[:-1] - phases[1:], l_c))
     l_m = l_c + l_r
 
     phase_turns = phases * _INV_TWO_PI
@@ -511,9 +510,7 @@ def _concerto_rows(k: PlanConstants, phases: np.ndarray):
     _, turns = _chain(k, phases)
     l_c = turns * k.beat_last
 
-    dphi = phases[:, :-1] - phases[:, 1:]
-    dphi -= l_c[:, None] * k.step_two_pi_inv_lam
-    l_m = l_c + _residual(k, wrap_inplace(dphi))
+    l_m = l_c + _residual(k, phases[:, :-1] - phases[:, 1:], l_c[:, None])
 
     phase_turns = phases * _INV_TWO_PI
     fold = _fold(k, l_m[:, None], phase_turns)

@@ -15,6 +15,7 @@ Plans are stored at full floating precision; no synthesizer grid rounding.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import replace
@@ -51,6 +52,8 @@ def design_concerto_plan(
     :class:`InfeasibleDesignError`.
     """
     _check_speed(c_m_s)
+    if not isinstance(n, numbers.Integral):
+        raise InvalidArgumentError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
     if not (f_high_hz > f_low_hz > 0.0):
@@ -98,6 +101,8 @@ def design_bw_plan(
     :class:`InvalidArgumentError`.
     """
     _check_speed(c_m_s)
+    if not isinstance(n, numbers.Integral):
+        raise InvalidArgumentError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
     if not (f_high_hz > bandwidth_hz > 0.0):
@@ -179,16 +184,13 @@ def validate_plan(plan: FrequencyPlan) -> list:
         # Offset chain (f_0 - f_{i+1})/(f_0 - f_i) must equal the stored ratio.
         f_0 = freqs[0]
         chain_tol = RATIO_RTOL * ratio
-        # one pass that builds nothing, and messages only if it fails: a NaN
-        # q fails the pass but is not reported, as it passes the second test
-        if not all(abs((f_0 - g) / (f_0 - f) - ratio) <= chain_tol
-                   for f, g in zip(freqs[1:], freqs[2:])):
-            violations += [
-                f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {q!r} "
-                f"differs from r = {ratio!r} beyond {RATIO_RTOL:g} relative"
-                for i, (f, g) in enumerate(zip(freqs[1:], freqs[2:]), start=1)
-                if abs((q := (f_0 - g) / (f_0 - f)) - ratio) > chain_tol
-            ]
+        # a message only for a quotient q that fails; a NaN q is not reported
+        violations += [
+            f"ratio-mismatch: (f_0-f_{i + 1})/(f_0-f_{i}) = {q!r} "
+            f"differs from r = {ratio!r} beyond {RATIO_RTOL:g} relative"
+            for i, (f, g) in enumerate(zip(freqs[1:], freqs[2:]), start=1)
+            if abs((q := (f_0 - g) / (f_0 - f)) - ratio) > chain_tol
+        ]
         if plan.pattern_kind == "bw":
             rho = f_0 / plan.bandwidth_hz
             if abs(ratio - rho) > RATIO_RTOL * rho:

@@ -38,6 +38,7 @@ process may use. The chunk layout does not depend on the worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from itertools import permutations
@@ -219,8 +220,16 @@ class TrialConfig:
     truth_halfwidth_m: float | None = None
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # kept as an int: mix_seed's 64-bit masks overflow numpy's int64
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if isinstance(self.methods, str):
+            raise ConfigError(f"methods must be a sequence of names, got {self.methods!r}")
         methods = tuple(self.methods)
         if not methods:
             raise ConfigError("methods must be non-empty")

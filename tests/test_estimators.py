@@ -104,7 +104,7 @@ def test_w_symmetric_positive_definite(n):
 
 def test_residual_weights_reject_one_frequency():
     k = PlanConstants(FrequencyPlan(freqs_hz=(C / 0.7,), c_m_s=C))
-    for name in ("centred_freqs", "w_delta_f", "residual_denom"):
+    for name in ("w_delta_f", "residual_denom"):
         with pytest.raises(InvalidArgumentError, match="at least two frequencies"):
             getattr(k, name)
 
@@ -198,7 +198,7 @@ def test_plan_constants_match_the_per_plan_formulas_bit_for_bit():
 
 #: PlanConstants' lazy constants, by the group one build makes together.
 _CHAIN_GROUP = ("beat_lam", "beat_ratios", "beat_last")
-_RESIDUAL_GROUP = ("centred_freqs", "w_delta_f", "residual_denom", "step_two_pi_inv_lam")
+_RESIDUAL_GROUP = ("w_delta_f", "residual_denom", "step_two_pi_inv_lam")
 _EF_GROUP = ("ef_screen_index", "ef_screen_inv_lam", "ef_screen_rows", "ef_full_rows",
              "ef_slack")
 

@@ -94,6 +94,18 @@ def test_design_errors():
             design_bw_plan(2500e6, 100e6, 5, bad_c)
 
 
+def test_design_refuses_a_count_that_is_not_an_integer():
+    # refused up front, not as a bare TypeError from range()
+    for bad_n in (3.5, 5.0, "5", None):
+        with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+            design_concerto_plan(2500e6, 2400e6, bad_n, 144.0, C)
+        with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+            design_bw_plan(2500e6, 100e6, bad_n, C)
+    # numpy integers are integers
+    assert design_concerto_plan(2500e6, 2400e6, np.int64(5), 144.0, C).n == 5
+    assert design_bw_plan(2500e6, 100e6, np.int64(4), C).n == 4
+
+
 def test_bw_design_closed_form():
     # rho = f_0/B = 25: f_1 = 2500 MHz - 100 MHz/25 = 2496 MHz, f_2 = 2400 MHz
     plan = design_bw_plan(2500e6, 100e6, 3, C)

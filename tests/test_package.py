@@ -47,6 +47,38 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def _plan_constant_names(tree: ast.Module) -> set:
+    """The constants of ``PlanConstants``: its ``_lazy`` descriptors and the
+    attributes its ``__init__`` sets on ``self``."""
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "PlanConstants")
+    names = set()
+    for node in cls.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "_lazy"):
+            names.update(t.id for t in node.targets)
+        elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            names.update(
+                t.attr for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+                for t in sub.targets
+                if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+            )
+    return names
+
+
+def test_every_plan_constant_has_a_reader():
+    # a per-plan constant is built for every plan, so one that nothing in
+    # the package reads as an attribute is work and memory for nothing
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    constants = _plan_constant_names(trees["estimators.py"])
+    assert {"plan", "lam0", "beat_lam", "w_delta_f", "ef_slack"} <= constants
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(constants - read) == []
+
+
 def test_readme_csv_schema_matches_the_header():
     lines = (ROOT / "README.md").read_text().splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("Simulation CSV schema"))

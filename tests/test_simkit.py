@@ -182,6 +182,28 @@ def test_run_trials_config_errors():
         run_trials(cfg)
 
 
+def test_trial_config_refuses_what_run_trials_cannot_run():
+    base = dict(plan=PLAN, noise=NoiseSpec(0.1))
+    # a string is a sequence of letters, not of names: "bw" would run as
+    # the unknown estimators 'b' and 'w', "concerto" repeats 'c'
+    for names in ("concerto", "bw", "ef"):
+        with pytest.raises(ConfigError, match="methods must be a sequence of names"):
+            TrialConfig(**base, trials=10, seed=0, methods=names)
+    # refused here, not later in run_trials with a bare TypeError
+    for bad in (2.5, 10.0, "10", None):
+        with pytest.raises(ConfigError, match="trials must be an integer"):
+            TrialConfig(**base, trials=bad, seed=0)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            TrialConfig(**base, trials=10, seed=bad)
+    # numpy integers are kept as ints, so a run matches the plain ints':
+    # mix_seed's 64-bit masks would overflow an int64 or uint32 seed
+    plain = run_trials(TrialConfig(**base, trials=3, seed=5)).to_csv()
+    for dtype in (np.int64, np.uint32, np.uint64):
+        cfg = TrialConfig(**base, trials=dtype(3), seed=dtype(5))
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+        assert run_trials(cfg).to_csv() == plain
+
+
 def test_truth_config_validation():
     base = dict(plan=PLAN, noise=NoiseSpec(0.1), trials=10, seed=0)
     for bad in (0.0, -1.0, math.inf, math.nan, 1e6):
