@@ -130,12 +130,8 @@ class EstimateTrace:
         return self._int_field("_fold_ints")
 
     def __repr__(self):
-        return (
-            f"EstimateTrace(method={self.method!r}, m_chain={self.m_chain!r}, "
-            f"l_coarse_m={self.l_coarse_m!r}, l_residual_m={self.l_residual_m!r}, "
-            f"l_mid_m={self.l_mid_m!r}, fold_ints={self.fold_ints!r}, "
-            f"l_final_m={self.l_final_m!r}, delta_m={self.delta_m!r})"
-        )
+        fields = ", ".join(f"{slot[1:]}={getattr(self, slot[1:])!r}" for slot in self.__slots__)
+        return f"EstimateTrace({fields})"
 
 
 class _lazy:
@@ -357,17 +353,21 @@ def coarse_estimate(obs: PhaseObservation):
     return turns * k.beat_last, np.array(m_chain, dtype=np.int64)
 
 
-def _check_range(l_m) -> None:
-    """Refuse a range handed to a stage that is not one finite real number."""
+def _check_range(l_m, k: PlanConstants) -> None:
+    """Refuse a range handed to a stage that is not one finite real number, or
+    whose l/lambda_i on the plan of ``k`` exceeds 2**53, where a float holds
+    no fraction of a turn."""
     if not (isinstance(l_m, numbers.Real) and math.isfinite(l_m)):
         raise InvalidArgumentError(f"range must be a finite scalar, got {l_m!r}")
+    if abs(float(l_m)) * float(np.maximum.reduce(np.abs(k.inv_lam))) > 2.0**53:
+        raise InvalidArgumentError(f"range {l_m!r} m is too large: l/lambda_i exceeds 2**53")
 
 
 def compensate_phases(obs: PhaseObservation, l_c: float) -> np.ndarray:
     """Remove the coarse range from every phase: wrap(phi_i - 2*pi*l_c/lambda_i)."""
-    _check_range(l_c)
-    two_pi_inv_lam = plan_constants(obs.plan).two_pi_inv_lam
-    return wrap_inplace(obs.phases_rad - l_c * two_pi_inv_lam)
+    k = plan_constants(obs.plan)
+    _check_range(l_c, k)
+    return wrap_inplace(obs.phases_rad - l_c * k.two_pi_inv_lam)
 
 
 def _residual(k: PlanConstants, dphi: np.ndarray, l_c):
@@ -398,7 +398,9 @@ def residual_estimate(compensated_rad, plan: FrequencyPlan) -> float:
     comp = np.asarray(compensated_rad, dtype=float)
     if comp.shape != (plan.n,):
         raise InvalidArgumentError("compensated phase count does not match plan")
-    return float(_residual(plan_constants(plan), wrap_phase(comp[:-1] - comp[1:]), 0.0))
+    # wrapped first: no difference of the phases can overflow or warn
+    comp = wrap_phase(comp)
+    return float(_residual(plan_constants(plan), comp[:-1] - comp[1:], 0.0))
 
 
 def _fold(k: PlanConstants, l_m, phase_turns: np.ndarray) -> np.ndarray:
@@ -415,9 +417,9 @@ def _fit(k: PlanConstants, fold: np.ndarray, phase_turns: np.ndarray):
 
 def fold_integers(obs: PhaseObservation, l_m: float) -> np.ndarray:
     """Folding integers at every wavelength implied by the range guess ``l_m``."""
-    _check_range(l_m)
-    fold = _fold(plan_constants(obs.plan), l_m, obs.phases_rad * _INV_TWO_PI)
-    return fold.astype(np.int64)
+    k = plan_constants(obs.plan)
+    _check_range(l_m, k)
+    return _fold(k, l_m, obs.phases_rad * _INV_TWO_PI).astype(np.int64)
 
 
 def ls_refine(obs: PhaseObservation, fold_ints) -> float:

@@ -31,9 +31,13 @@ _MIN_NORMAL = sys.float_info.min
 _HALF_MAX = sys.float_info.max / 2.0
 
 
-def _check_speed(c_m_s: float) -> None:
+def _check_design(n: int, c_m_s: float) -> None:
     if not (math.isfinite(c_m_s) and c_m_s > 0.0):
         raise InvalidArgumentError("propagation speed must be finite and positive")
+    if not isinstance(n, numbers.Integral):
+        raise InvalidArgumentError(f"n must be an integer, got {n!r}")
+    if n < 3:
+        raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
 
 
 def design_concerto_plan(
@@ -51,11 +55,7 @@ def design_concerto_plan(
     (at very large K the offsets are too fine for f_0 to resolve) raises
     :class:`InfeasibleDesignError`.
     """
-    _check_speed(c_m_s)
-    if not isinstance(n, numbers.Integral):
-        raise InvalidArgumentError(f"n must be an integer, got {n!r}")
-    if n < 3:
-        raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
+    _check_design(n, c_m_s)
     if not (f_high_hz > f_low_hz > 0.0):
         raise InvalidArgumentError("need f_high > f_low > 0")
     if not (k_m > 0.0 and math.isfinite(k_m)):
@@ -100,11 +100,7 @@ def design_bw_plan(
     ``n`` whose plan fails :func:`validate_plan` is rejected with
     :class:`InvalidArgumentError`.
     """
-    _check_speed(c_m_s)
-    if not isinstance(n, numbers.Integral):
-        raise InvalidArgumentError(f"n must be an integer, got {n!r}")
-    if n < 3:
-        raise InvalidArgumentError(f"designed patterns need n >= 3, got {n}")
+    _check_design(n, c_m_s)
     if not (f_high_hz > bandwidth_hz > 0.0):
         raise InvalidArgumentError("need f_high > bandwidth > 0")
     rho = f_high_hz / bandwidth_hz

@@ -408,11 +408,7 @@ def _run_chunk(cfg: TrialConfig, start: int, stop: int) -> dict:
     return partial
 
 
-def _chunk_bounds(trials: int):
-    return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
-
-
-def _binomial(count: int, n: int) -> tuple:
+def _binomial(count: float, n: int) -> tuple:
     """The rate count/n and its binomial standard error."""
     p = count / n
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -430,33 +426,29 @@ def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
     if sweep_param is None:
         sweep_param = cfg.noise.snr_db
 
-    bounds = _chunk_bounds(cfg.trials)
-    workers = _worker_count(len(bounds))
+    n = cfg.trials
+    starts = range(0, n, CHUNK_TRIALS)
+    chunks = ([cfg] * len(starts), starts, [min(lo + CHUNK_TRIALS, n) for lo in starts])
+    workers = _worker_count(len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_chunk, *zip(*[(cfg, lo, hi) for lo, hi in bounds])))
+            partials = list(pool.map(_run_chunk, *chunks))
     else:
-        partials = [_run_chunk(cfg, lo, hi) for lo, hi in bounds]
+        partials = list(map(_run_chunk, *chunks))
 
     try:
         crb_m2 = crb(cfg.plan, cfg.noise)
     except UndefinedBoundError:
         crb_m2 = math.nan
 
-    n = cfg.trials
     report = SimReport()
     for name in cfg.methods:
-        sum_e = math.fsum(p[name]["sum_e"] for p in partials)
-        sum_e2 = math.fsum(p[name]["sum_e2"] for p in partials)
-        sum_e4 = math.fsum(p[name]["sum_e4"] for p in partials)
-        fail = sum(p[name]["fail"] for p in partials)
-        coarse_fail = sum(p[name]["coarse_fail"] for p in partials)
-
-        mse = sum_e2 / n
-        m4 = sum_e4 / n
-        p_fail, p_fail_stderr = _binomial(fail, n)
+        # math.fsum rounds once, so the integer counts stay exact
+        sums = {key: math.fsum(p[name][key] for p in partials) for key in partials[0][name]}
+        mse = sums["sum_e2"] / n
+        p_fail, p_fail_stderr = _binomial(sums["fail"], n)
         row = SimRow(
             sweep_param=float(sweep_param),
             method=name,
@@ -466,11 +458,11 @@ def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
             p_fail_lambda0=p_fail,
             p_fail_stderr=p_fail_stderr,
             crb_m2=crb_m2,
-            mean_error_m=sum_e / n,
-            mse_stderr_m2=math.sqrt(max(m4 - mse * mse, 0.0) / n),
+            mean_error_m=sums["sum_e"] / n,
+            mse_stderr_m2=math.sqrt(max(sums["sum_e4"] / n - mse * mse, 0.0) / n),
         )
         if name == "concerto":
-            row.p_coarse_fail, row.p_coarse_fail_stderr = _binomial(coarse_fail, n)
+            row.p_coarse_fail, row.p_coarse_fail_stderr = _binomial(sums["coarse_fail"], n)
         report.rows.append(row)
     return report
 

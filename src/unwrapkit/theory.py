@@ -22,8 +22,12 @@ def sigma_e(sigma_rad: float, lambda_ratio: float) -> float:
     """
     if sigma_rad < 0.0:
         raise InvalidArgumentError("sigma must be >= 0")
+    if not math.isfinite(sigma_rad):
+        raise InvalidArgumentError("sigma must be finite and >= 0")
     if lambda_ratio <= 0.0:
         raise InvalidArgumentError("wavelength ratio must be positive")
+    if not math.isfinite(lambda_ratio):
+        raise InvalidArgumentError("wavelength ratio must be finite and positive")
     return (math.sqrt(2.0) * sigma_rad / (2.0 * math.pi)) * math.sqrt(
         lambda_ratio**2 + 1.0
     )

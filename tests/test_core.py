@@ -82,6 +82,11 @@ def test_wrap_rejects_non_finite():
 def test_wrap_scalar_type():
     assert isinstance(wrap_phase(1.0), float)
     assert isinstance(wrap_phase(np.float64(1.0)), float)
+    # a 0-d array and a float32 take the array path, and come back as floats
+    for x in (np.array(4.0), np.float32(4.0), np.array(-3 * PI)):
+        got = wrap_phase(x)
+        assert type(got) is float
+        assert got == wrap_phase(float(x))
 
 
 #: Angles on and next to the (-pi, pi] boundary and its multiples, where the

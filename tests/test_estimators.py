@@ -56,6 +56,7 @@ from unwrapkit.estimators import (
     _bw_rows,
     _chain,
     _concerto_rows,
+    _residual,
     plan_constants,
 )
 
@@ -411,6 +412,26 @@ def test_residual_degenerate_plan():
         residual_estimate(np.zeros(50), PLAN51)
 
 
+def test_residual_wraps_the_phases_before_their_differences():
+    n = PLAN51.n
+    # a non-finite phase is refused before any arithmetic can warn
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="phase must be finite"):
+            residual_estimate(np.full(n, bad), PLAN51)
+    # finite phases far outside (-pi, pi]: their difference would overflow
+    wild = np.zeros(n)
+    wild[:3] = 1e308, -1e308, -1.7976931348623157e308
+    got = residual_estimate(wild, PLAN51)
+    assert math.isfinite(got) and got == residual_estimate(wrap_phase(wild), PLAN51)
+    # on phases in (-pi, pi], wrapping them first is the identity: the bits of
+    # wrapping their differences alone
+    rng = np.random.default_rng(5)
+    k = plan_constants(PLAN51)
+    for comp in [*rng.uniform(-math.pi, math.pi, (50, n)), np.full(n, math.pi)]:
+        before = float(_residual(k, wrap_phase(comp[:-1] - comp[1:]), 0.0))
+        assert residual_estimate(comp, PLAN51) == before
+
+
 # -- grid oracle ------------------------------------------------------------
 
 def test_cost_grid_oracle_zero_and_noiseless():
@@ -467,6 +488,25 @@ def test_fold_round_half_away_from_zero():
     assert fold_integers(obs_pos, 3.0)[0] == 3
     # exact tie -2.0/1.0 - 0.5 = -2.5 rounds away from zero (-3, not -2)
     assert fold_integers(obs_pos, -2.0)[0] == -3
+
+
+def test_stages_refuse_a_range_whose_turns_a_float_cannot_hold():
+    obs = true_phases(3.0, PLAN51)
+    # l/lambda_0 = l * 8.33/m on PLAN51: 1e15 m is below 2**53 turns, 1.1e15 m above
+    for stage in (fold_integers, compensate_phases):
+        for l_m in (1.1e15, -1e200, 1e200, 1e308, np.float64(-1e308)):
+            with pytest.raises(InvalidArgumentError, match="is too large: l/lambda_i exceeds 2"):
+                stage(obs, l_m)
+        for l_m in (1e15, -1e15):
+            assert np.isfinite(stage(obs, l_m)).all()
+    # an ordered plan's UMR/2 stays below the bound, even with its top two
+    # frequencies an ulp apart, so bw's fold integers are never refused
+    f_0 = 2.5e9
+    plan = FrequencyPlan(freqs_hz=(f_0, np.nextafter(f_0, 0.0), 2.4e9), c_m_s=C)
+    obs = PhaseObservation(phases_rad=np.full(3, 0.3), plan=plan)
+    for l_m in (plan.umr_m / 2.0, -plan.umr_m / 2.0):
+        assert fold_integers(obs, l_m).dtype == np.int64
+        assert np.isfinite(compensate_phases(obs, l_m)).all()
 
 
 # -- final fit --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,16 @@ def test_synthesize_noiseless_equals_true_phases():
         expected = wrap_phase(TWO_PI * l_m / lam)
         got = true_phases(l_m, PLAN).phases_rad
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_synthesize_refuses_a_range_whose_phases_are_not_finite():
+    # 2*pi*L/lambda_i overflows at 1e308; the refusal comes with no warning
+    for sigma in (0.0, 0.2):
+        for l_m in (1e308, math.inf, -math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidArgumentError, match="^phase must be finite$"):
+                    synthesize_observation(l_m, PLAN, NoiseSpec(sigma), np.random.default_rng(3))
 
 
 def test_synthesize_deterministic_per_seed():

@@ -31,6 +31,23 @@ def test_sigma_e_examples():
         sigma_e(0.1, 0.0)
 
 
+def test_sigma_e_refuses_non_finite_inputs():
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match=r"^sigma must be finite and >= 0$"):
+            sigma_e(sigma, 2.0)
+    for ratio in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError,
+                           match="^wavelength ratio must be finite and positive$"):
+            sigma_e(0.1, ratio)
+    # what was refused before keeps its message
+    for sigma in (-0.1, -math.inf):
+        with pytest.raises(InvalidArgumentError, match=r"^sigma must be >= 0$"):
+            sigma_e(sigma, 2.0)
+    for ratio in (0.0, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="^wavelength ratio must be positive$"):
+            sigma_e(0.1, ratio)
+
+
 def test_mse_examples_and_crb_identity():
     # crb's expression is also the conditional final-stage MSE
     plan1 = FrequencyPlan(freqs_hz=(C,), c_m_s=C)  # single 1 m wavelength
