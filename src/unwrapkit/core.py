@@ -28,6 +28,17 @@ UMR_RTOL = 1e-9
 _PATTERN_KINDS = ("concerto", "bw", "explicit")
 
 
+def huge_int_as_inf(x):
+    """``x``, or +/-inf for an int beyond the float range, on which ``float``
+    and ``math.isfinite`` raise a bare ``OverflowError``."""
+    if isinstance(x, int):
+        try:
+            float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    return x
+
+
 def wrap_phase(x):
     """Wrap an angle (scalar or array) into (-pi, pi].
 
@@ -35,6 +46,7 @@ def wrap_phase(x):
     representation of 2*pi itself; the boundary maps to +pi, never -pi.
     """
     if isinstance(x, (float, int)):
+        x = huge_int_as_inf(x)
         if not math.isfinite(x):
             raise InvalidArgumentError(f"phase must be finite, got {x!r}")
         r = math.fmod(x, TWO_PI)
@@ -91,12 +103,15 @@ class FrequencyPlan:
     def __post_init__(self):
         # Numbers are stored as Python floats, so that numpy scalars handed
         # in do not reach the plan file as "np.float64(...)".
-        freqs = tuple(map(float, self.freqs_hz))
+        try:
+            freqs = tuple(map(float, self.freqs_hz))
+        except OverflowError:
+            freqs = tuple(float(huge_int_as_inf(f)) for f in self.freqs_hz)
         if len(freqs) == 0:
             raise InvalidArgumentError("plan needs at least one frequency")
         if 0.0 in freqs or not all(map(math.isfinite, freqs)):
             raise InvalidArgumentError("frequencies must be finite and nonzero")
-        c_m_s = float(self.c_m_s)
+        c_m_s = float(huge_int_as_inf(self.c_m_s))
         if not (math.isfinite(c_m_s) and c_m_s > 0.0):
             raise InvalidArgumentError("propagation speed must be finite and positive")
         if self.pattern_kind not in _PATTERN_KINDS:
@@ -109,7 +124,7 @@ class FrequencyPlan:
         for name in ("range_budget_m", "ratio"):
             value = getattr(self, name)
             if value is not None:
-                init(self, name, float(value))
+                init(self, name, float(huge_int_as_inf(value)))
 
     @property
     def n(self) -> int:
@@ -152,8 +167,8 @@ class PhaseObservation:
             if not np.logical_and.reduce(np.isfinite(arr)):
                 raise InvalidArgumentError("phases must be finite")
             raise InvalidArgumentError("phases must lie in (-pi, pi]")
-        if self.truth_m is not None and not math.isfinite(self.truth_m):
-            raise InvalidArgumentError(f"truth_m must be finite, got {self.truth_m!r}")
+        if self.truth_m is not None and not math.isfinite(truth := huge_int_as_inf(self.truth_m)):
+            raise InvalidArgumentError(f"truth_m must be finite, got {truth!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "phases_rad", arr)
 
@@ -173,7 +188,7 @@ class NoiseSpec:
     sigma_rad: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_rad) and self.sigma_rad >= 0.0):
+        if not (math.isfinite(huge_int_as_inf(self.sigma_rad)) and self.sigma_rad >= 0.0):
             raise InvalidArgumentError("sigma must be finite and >= 0")
         object.__setattr__(self, "sigma_rad", float(self.sigma_rad))
 
@@ -185,7 +200,7 @@ class NoiseSpec:
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
-        if not math.isfinite(snr_db):
+        if not math.isfinite(huge_int_as_inf(snr_db)):
             raise InvalidArgumentError("snr_db must be finite")
         try:
             return cls(sigma_rad=1.0 / math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))

@@ -47,6 +47,7 @@ from .core import (
     UMR_RTOL,
     FrequencyPlan,
     PhaseObservation,
+    huge_int_as_inf,
     wrap_inplace,
     wrap_phase,
 )
@@ -357,6 +358,7 @@ def _check_range(l_m, k: PlanConstants) -> None:
     """Refuse a range handed to a stage that is not one finite real number, or
     whose l/lambda_i on the plan of ``k`` exceeds 2**53, where a float holds
     no fraction of a turn."""
+    l_m = huge_int_as_inf(l_m)
     if not (isinstance(l_m, numbers.Real) and math.isfinite(l_m)):
         raise InvalidArgumentError(f"range must be a finite scalar, got {l_m!r}")
     if abs(float(l_m)) * float(np.maximum.reduce(np.abs(k.inv_lam))) > 2.0**53:

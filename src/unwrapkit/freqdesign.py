@@ -20,7 +20,7 @@ import operator
 import sys
 from dataclasses import replace
 
-from .core import C_VACUUM_M_S, UMR_RTOL, FrequencyPlan
+from .core import C_VACUUM_M_S, UMR_RTOL, FrequencyPlan, huge_int_as_inf
 from .errors import InfeasibleDesignError, InvalidArgumentError
 
 #: Relative tolerance for the common-ratio structure of designed plans; a
@@ -32,7 +32,7 @@ _HALF_MAX = sys.float_info.max / 2.0
 
 
 def _check_design(n: int, c_m_s: float) -> None:
-    if not (math.isfinite(c_m_s) and c_m_s > 0.0):
+    if not (math.isfinite(huge_int_as_inf(c_m_s)) and c_m_s > 0.0):
         raise InvalidArgumentError("propagation speed must be finite and positive")
     if not isinstance(n, numbers.Integral):
         raise InvalidArgumentError(f"n must be an integer, got {n!r}")
@@ -56,9 +56,10 @@ def design_concerto_plan(
     :class:`InfeasibleDesignError`.
     """
     _check_design(n, c_m_s)
+    f_high_hz, f_low_hz = huge_int_as_inf(f_high_hz), huge_int_as_inf(f_low_hz)
     if not (f_high_hz > f_low_hz > 0.0):
         raise InvalidArgumentError("need f_high > f_low > 0")
-    if not (k_m > 0.0 and math.isfinite(k_m)):
+    if not (k_m > 0.0 and math.isfinite(huge_int_as_inf(k_m))):
         raise InvalidArgumentError("range budget must be positive and finite")
     b = f_high_hz - f_low_hz
     bk_over_c = b * k_m / c_m_s
@@ -101,6 +102,7 @@ def design_bw_plan(
     :class:`InvalidArgumentError`.
     """
     _check_design(n, c_m_s)
+    f_high_hz, bandwidth_hz = huge_int_as_inf(f_high_hz), huge_int_as_inf(bandwidth_hz)
     if not (f_high_hz > bandwidth_hz > 0.0):
         raise InvalidArgumentError("need f_high > bandwidth > 0")
     rho = f_high_hz / bandwidth_hz

@@ -15,7 +15,7 @@ the one ``default_rng(mix_seed(s, t))`` makes. The tests check that
 seeding against numpy's own, so a numpy release that seeds ``default_rng``
 otherwise fails them instead of moving results. Trials are aggregated in
 fixed-size chunks whose partial sums are merged in chunk order, so results
-are identical bytes regardless of how many workers execute the chunks.
+depend only on the seed, the trial count and :data:`CHUNK_TRIALS`.
 The Gaussian draws are numpy's; they are not bit-compatible with other
 implementations.
 
@@ -28,18 +28,12 @@ called on one observation per trial, made by
 synthesized trial by trial, so a wrapper of either name sees every trial.
 Either way the per-trial random streams, and so the synthesized phases, are
 the ones a trial-by-trial loop over :func:`synthesize_observation` draws.
-
-Parallelism: trials are independent; if the environment variable
-``UNWRAP_KIT_THREADS`` is set above 1, chunks are dispatched to a process
-pool of that size, capped at the batch's chunk count and at the CPUs the
-process may use. The chunk layout does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 
@@ -52,6 +46,7 @@ from .core import (
     FrequencyPlan,
     NoiseSpec,
     PhaseObservation,
+    huge_int_as_inf,
     wrap_inplace,
     wrap_phase,
 )
@@ -79,8 +74,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-#: Trials per aggregation chunk; fixed so that results never depend on the
-#: worker count.
+#: Trials per aggregation chunk. The chunk sums are merged in chunk order,
+#: so this size fixes the last bits of every aggregate; it also bounds the
+#: per-chunk error arrays.
 CHUNK_TRIALS = 2048
 
 #: Trials evaluated together as one (B, N) row block inside a chunk. Whole
@@ -184,7 +180,7 @@ def synthesize_observation(
     One row of the Monte-Carlo synthesis; draws N standard normals from
     ``rng`` when sigma > 0, the stream of a (1, N) block.
     """
-    l_m = float(l_m)
+    l_m = float(huge_int_as_inf(l_m))
     sigma = noise.sigma_rad
     draws = rng.standard_normal(plan.n) if sigma > 0.0 else None
     phases = _synthesize_block(plan, l_m, sigma, draws)
@@ -193,6 +189,7 @@ def synthesize_observation(
 
 def true_phases(l_m: float, plan: FrequencyPlan) -> PhaseObservation:
     """Noise-free wrapped phases of a target at range ``l_m``."""
+    l_m = huge_int_as_inf(l_m)
     if not math.isfinite(l_m):
         raise InvalidArgumentError("range must be finite")
     return synthesize_observation(l_m, plan, NoiseSpec(0.0), None)
@@ -206,9 +203,9 @@ class TrialConfig:
     is drawn uniformly over +/- ``truth_halfwidth_m`` (default K/2, with K the
     plan's finite, positive ``search_range_m``), so the two are not given
     together. A fixed truth must be finite with magnitude at most UMR/2, and
-    a half-width finite, positive and at most UMR/2 (both with the relative
-    tolerance :data:`unwrapkit.core.UMR_RTOL`), since no estimator can place
-    a truth beyond it.
+    a half-width, given or K/2, finite, positive and at most UMR/2 (with the
+    relative tolerance :data:`unwrapkit.core.UMR_RTOL`), since no estimator
+    can place a truth beyond it.
     """
 
     plan: FrequencyPlan
@@ -239,8 +236,10 @@ class TrialConfig:
         object.__setattr__(self, "methods", methods)
         if self.truth_m is not None and self.truth_halfwidth_m is not None:
             raise ConfigError("give truth_m (a fixed truth) or truth_halfwidth_m, not both")
-        half_umr = self.plan.umr_m / 2.0
+        for name in ("truth_m", "truth_halfwidth_m"):
+            object.__setattr__(self, name, huge_int_as_inf(getattr(self, name)))
         if self.truth_m is not None:
+            half_umr = self.plan.umr_m / 2.0
             if not math.isfinite(self.truth_m):
                 raise ConfigError(f"truth_m must be finite, got {self.truth_m!r}")
             if abs(self.truth_m) > half_umr * (1.0 + UMR_RTOL):
@@ -248,30 +247,30 @@ class TrialConfig:
                     f"truth_m {self.truth_m!r} m lies beyond half the unambiguous "
                     f"range, {half_umr!r} m"
                 )
-        halfwidth = self.truth_halfwidth_m
-        if halfwidth is not None:
-            if not (math.isfinite(halfwidth) and halfwidth > 0.0):
-                raise ConfigError(
-                    f"truth half-width must be finite and positive, got {halfwidth!r}"
-                )
-            if halfwidth > half_umr * (1.0 + UMR_RTOL):
-                raise ConfigError(
-                    f"truth half-width {halfwidth!r} m exceeds half the unambiguous "
-                    f"range, {half_umr!r} m"
-                )
+        elif self.truth_halfwidth_m is not None:
+            self.resolved_halfwidth()  # a given half-width is refused at once
 
     def resolved_halfwidth(self) -> float:
+        """The half-width the truths are drawn over: 0 for a fixed truth, else
+        the given one or K/2, refused as the class docstring says."""
         if self.truth_m is not None:
             return 0.0
-        if self.truth_halfwidth_m is not None:
-            return self.truth_halfwidth_m
-        k_m = plan_constants(self.plan).search_range_m
-        if not math.isfinite(k_m):
-            raise ConfigError("uniform truths need a finite range budget: give truth_m or "
-                              "truth_halfwidth_m")
-        if not k_m > 0.0:
-            raise ConfigError(f"uniform truths need a positive range budget, got K = {k_m!r} m")
-        return k_m / 2.0
+        halfwidth = self.truth_halfwidth_m
+        if halfwidth is None:
+            k_m = plan_constants(self.plan).search_range_m
+            if not math.isfinite(k_m):
+                raise ConfigError("uniform truths need a finite range budget: give truth_m or "
+                                  "truth_halfwidth_m")
+            if not k_m > 0.0:
+                raise ConfigError(f"uniform truths need a positive range budget, got K = {k_m!r} m")
+            halfwidth = k_m / 2.0
+        elif not (math.isfinite(halfwidth) and halfwidth > 0.0):
+            raise ConfigError(f"truth half-width must be finite and positive, got {halfwidth!r}")
+        half_umr = self.plan.umr_m / 2.0
+        if halfwidth > half_umr * (1.0 + UMR_RTOL):
+            raise ConfigError(f"truth half-width {halfwidth!r} m exceeds half the unambiguous "
+                              f"range, {half_umr!r} m")
+        return halfwidth
 
 
 @dataclass
@@ -310,19 +309,6 @@ class SimReport:
         for r in self.rows:
             lines.append(",".join(str(getattr(r, c)) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
-
-
-def _worker_count(chunks: int) -> int:
-    """``UNWRAP_KIT_THREADS``, capped at ``chunks`` and at the usable CPUs."""
-    try:
-        requested = int(os.environ.get("UNWRAP_KIT_THREADS", ""))
-    except ValueError:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(requested, chunks, cpus))
 
 
 def _evaluate_block(cfg: TrialConfig, start: int, stop: int):
@@ -427,16 +413,7 @@ def run_trials(cfg: TrialConfig, sweep_param: float | None = None) -> SimReport:
         sweep_param = cfg.noise.snr_db
 
     n = cfg.trials
-    starts = range(0, n, CHUNK_TRIALS)
-    chunks = ([cfg] * len(starts), starts, [min(lo + CHUNK_TRIALS, n) for lo in starts])
-    workers = _worker_count(len(starts))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_chunk, *chunks))
-    else:
-        partials = list(map(_run_chunk, *chunks))
+    partials = [_run_chunk(cfg, lo, min(lo + CHUNK_TRIALS, n)) for lo in range(0, n, CHUNK_TRIALS)]
 
     try:
         crb_m2 = crb(cfg.plan, cfg.noise)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FrequencyPlan, NoiseSpec
+from .core import FrequencyPlan, NoiseSpec, huge_int_as_inf
 from .errors import InvalidArgumentError, UndefinedBoundError
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -20,6 +20,7 @@ def sigma_e(sigma_rad: float, lambda_ratio: float) -> float:
 
         sigma_e = (sqrt(2)*sigma / 2*pi) * sqrt(rho^2 + 1)
     """
+    sigma_rad, lambda_ratio = huge_int_as_inf(sigma_rad), huge_int_as_inf(lambda_ratio)
     if sigma_rad < 0.0:
         raise InvalidArgumentError("sigma must be >= 0")
     if not math.isfinite(sigma_rad):

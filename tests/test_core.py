@@ -13,9 +13,16 @@ from unwrapkit import (
     InvalidArgumentError,
     NoiseSpec,
     PhaseObservation,
+    TrialConfig,
     beat_wavelengths,
+    compensate_phases,
     concerto_estimate,
+    design_bw_plan,
     design_concerto_plan,
+    fold_integers,
+    sigma_e,
+    sweep_range,
+    synthesize_observation,
     true_phases,
     wrap_phase,
 )
@@ -318,3 +325,52 @@ def test_phase_checks_match_the_method_predicates(values):
     else:
         with pytest.raises(InvalidArgumentError, match="^phase must be finite$"):
             wrap_phase(arr)
+
+
+# -- ints beyond the float range --------------------------------------------
+
+_PLAN8 = design_concerto_plan(2.5e9, 2.4e9, 8, 144.0, 3e8)
+_OBS8 = true_phases(10.0, _PLAN8)
+
+#: Each public entry point that reads a caller's number, called with one
+#: argument x in the place of that number.
+_NUMBER_READERS = {
+    "fold_integers": lambda x: fold_integers(_OBS8, x),
+    "compensate_phases": lambda x: compensate_phases(_OBS8, x),
+    "sigma_e sigma": lambda x: sigma_e(x, 2.0),
+    "sigma_e ratio": lambda x: sigma_e(0.1, x),
+    "true_phases": lambda x: true_phases(x, _PLAN8),
+    "synthesize_observation": lambda x: synthesize_observation(x, _PLAN8, NoiseSpec(0.0), None),
+    "wrap_phase": wrap_phase,
+    "NoiseSpec": NoiseSpec,
+    "NoiseSpec.from_snr_db": NoiseSpec.from_snr_db,
+    "FrequencyPlan frequency": lambda x: FrequencyPlan((x, 2.4e9)),
+    "FrequencyPlan c_m_s": lambda x: FrequencyPlan((2.5e9, 2.4e9), c_m_s=x),
+    "FrequencyPlan range_budget_m": lambda x: FrequencyPlan((2.5e9, 2.4e9), range_budget_m=x),
+    "PhaseObservation truth_m": lambda x: PhaseObservation(_OBS8.phases_rad, _PLAN8, truth_m=x),
+    "TrialConfig truth_m": lambda x: TrialConfig(_PLAN8, NoiseSpec(0.1), 1, 0, truth_m=x),
+    "TrialConfig truth_halfwidth_m":
+        lambda x: TrialConfig(_PLAN8, NoiseSpec(0.1), 1, 0, truth_halfwidth_m=x),
+    "design_concerto_plan f_high_hz": lambda x: design_concerto_plan(x, 2.4e9, 8, 144.0, 3e8),
+    # x * x: an f_high above the f_low or bandwidth x
+    "design_concerto_plan f_low_hz": lambda x: design_concerto_plan(x * x, x, 8, 144.0, 3e8),
+    "design_concerto_plan k_m": lambda x: design_concerto_plan(2.5e9, 2.4e9, 8, x, 3e8),
+    "design_concerto_plan c_m_s": lambda x: design_concerto_plan(2.5e9, 2.4e9, 8, 144.0, x),
+    "design_bw_plan f_high_hz": lambda x: design_bw_plan(x, 1e8, 4, 3e8),
+    "design_bw_plan bandwidth_hz": lambda x: design_bw_plan(x * x, x, 4, 3e8),
+    "sweep_range K": lambda x: sweep_range(2.5e9, 2.4e9, 8, [x], 20.0, 10, 1, 3e8),
+}
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("name", sorted(_NUMBER_READERS))
+def test_an_int_beyond_the_float_range_reads_as_inf(name, sign):
+    # float(10**400) raises OverflowError; each entry point instead returns
+    # or raises what it does for an infinity of the same sign
+    def outcome(x):
+        try:
+            return _NUMBER_READERS[name](x)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(sign * 10**400) == outcome(sign * math.inf)

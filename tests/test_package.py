@@ -47,6 +47,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+#: The ``os`` names that read or set the process environment.
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _environment_reads(tree: ast.Module) -> list:
+    """Line numbers where a module reads one of ``_ENVIRONMENT_NAMES`` as an
+    attribute of ``os`` or imports it from ``os``."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_NAMES
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in _ENVIRONMENT_NAMES for a in node.names))
+    )
+
+
+def test_no_module_reads_the_environment():
+    # the package has no environment-variable settings, so a run's output
+    # depends on its arguments alone
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    reads = {
+        path.name: lines
+        for path in modules
+        if (lines := _environment_reads(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert reads == {}
+
+
 def _plan_constant_names(tree: ast.Module) -> set:
     """The constants of ``PlanConstants``: its ``_lazy`` descriptors and the
     attributes its ``__init__`` sets on ``self``."""

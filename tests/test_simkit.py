@@ -1,7 +1,6 @@
 """Monte-Carlo harness: synthesis, determinism, metrics, sweep protocols."""
 
 import math
-import os
 import warnings
 from dataclasses import replace
 
@@ -129,51 +128,6 @@ def test_run_trials_reproducible():
     assert ra.mean_error_m == rb.mean_error_m
 
 
-def test_run_trials_parallel_matches_serial(monkeypatch):
-    cfg = TrialConfig(
-        plan=PLAN, noise=NoiseSpec.from_snr_db(10.0), trials=4500, seed=3,
-        methods=("concerto",),
-    )
-    serial = run_trials(cfg).rows[0]
-    monkeypatch.setenv("UNWRAP_KIT_THREADS", "2")
-    parallel = run_trials(cfg).rows[0]
-    assert parallel.mse_m2 == serial.mse_m2
-    assert parallel.p_fail_lambda0 == serial.p_fail_lambda0
-    assert parallel.mean_error_m == serial.mean_error_m
-
-
-def test_worker_pool_is_capped_at_chunks_and_cpus(monkeypatch):
-    # A stand-in pool records its size and maps the chunks in this process,
-    # so no worker process starts, whatever UNWRAP_KIT_THREADS asks for.
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simkit, "CHUNK_TRIALS", 10)
-    cfg = TrialConfig(plan=PLAN, noise=NoiseSpec.from_snr_db(10.0), trials=45, seed=3)
-    serial = run_trials(cfg).to_csv()
-    for threads, cpus, size in (("5000", 64, 5), ("5000", 3, 3), ("2", 64, 2), ("5000", 1, None)):
-        monkeypatch.setenv("UNWRAP_KIT_THREADS", threads)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                            raising=False)
-        sizes.clear()
-        assert run_trials(cfg).to_csv() == serial
-        assert sizes == ([] if size is None else [size]), (threads, cpus)
-
-
 def test_run_trials_config_errors():
     with pytest.raises(ConfigError):
         TrialConfig(plan=PLAN, noise=NoiseSpec(0.1), trials=0, seed=0)
@@ -239,15 +193,22 @@ def test_truth_config_validation():
 
 def test_uniform_truths_refuse_a_non_positive_range_budget(monkeypatch):
     # A library plan may carry a K that the CLI's plan validation refuses:
-    # K = 0 would put every truth at 0, and numpy refuses a draw at K < 0.
+    # K = 0 would put every truth at 0, numpy refuses a draw at K < 0, and
+    # K/2 beyond UMR/2 would draw truths that no estimator can place.
     def no_draw(seeds):
         raise AssertionError("a trial was drawn")
 
     monkeypatch.setattr(simkit, "_trial_streams", no_draw)
-    for budget in (0.0, -40.0):
+    half_umr = PLAN.umr_m / 2.0
+    beyond = "truth half-width {!r} m exceeds half the unambiguous range, " + f"{half_umr!r} m"
+    for budget, message in (
+        (0.0, "uniform truths need a positive range budget, got K = 0.0 m"),
+        (-40.0, "uniform truths need a positive range budget, got K = -40.0 m"),
+        (1e6, beyond.format(5e5)),
+        (PLAN.umr_m * (1.0 + 1e-8), beyond.format(half_umr * (1.0 + 1e-8))),
+    ):
         cfg = TrialConfig(plan=replace(PLAN, range_budget_m=budget), noise=NoiseSpec(0.01),
                           trials=50, seed=1)
-        message = f"uniform truths need a positive range budget, got K = {budget!r} m"
         for call in (cfg.resolved_halfwidth, lambda: run_trials(cfg)):
             with pytest.raises(ConfigError) as err:
                 call()
